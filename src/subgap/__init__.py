@@ -28,6 +28,7 @@ from .core import (
     make_demo_signal,
 )
 from .errors import (
+    BoundViolationError,
     ConfigError,
     DegenerateDesignError,
     GridMismatchError,
@@ -120,6 +121,7 @@ __all__ = [
     "RefusalError",
     "NonConvergenceError",
     "DegenerateDesignError",
+    "BoundViolationError",
     "ConfigError",
     # projections
     "band_project",

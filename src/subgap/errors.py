@@ -25,6 +25,16 @@ class NonConvergenceError(SubgapError, RuntimeError):
     """An iterative solver hit its iteration cap without converging."""
 
 
+class BoundViolationError(SubgapError, RuntimeError):
+    """A computed quantity broke a bound the theory guarantees.
+
+    Raised instead of returning a value that contradicts the paper's
+    inequalities (concentration above WT, spill below 1 - WT) or a
+    position density rho(x, t) with an imaginary part; any of these
+    points to a numerical fault, not to bad input.
+    """
+
+
 class ConfigError(SubgapError, ValueError):
     """An experiment config failed validation; the message names the field."""
 

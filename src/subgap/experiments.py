@@ -496,14 +496,39 @@ def run_stability(
     seed: int = 0,
     grid: TimeGrid | None = None,
 ):
-    """Noise amplification of the series solver across noise levels."""
+    """Noise amplification of the series solver across noise levels.
+
+    At or past the limit the sweep refuses and no artifacts are written;
+    the run passes when the refusal is consistent with WT >= 1 (or lambda0
+    at 1).
+    """
     outdir, t0 = _prepare(outdir)
     grid = grid if grid is not None else default_grid()
     band = Interval(0.0, w)
     window = Interval(0.0, t_ds)
     s_w = band_project(make_demo_signal(grid), band)
-    rows = noise_stability_sweep(s_w, band, window, sigmas, seed=seed)
+    config = {
+        "experiment": "stability",
+        "W": w,
+        "T_DS": t_ds,
+        "sigmas": [float(s) for s in sigmas],
+        "seed": seed,
+        "grid": _grid_echo(grid),
+    }
     checks = []
+    try:
+        rows = noise_stability_sweep(s_w, band, window, sigmas, seed=seed)
+    except RefusalError as exc:
+        inv = invertibility_report(grid, band, window)
+        _check(
+            checks,
+            "refusal_consistent_with_limit",
+            not inv.invertible,
+            {"WT": inv.wt, "reason": str(exc)},
+            "the sweep refuses only when WT >= 1 or lambda0 is at 1",
+        )
+        metrics = {"WT": inv.wt, "lambda0": inv.lambda0, "invertible": inv.invertible}
+        return _finish(outdir, "stability", config, checks, metrics, [], t0)
     for row in rows:
         _check(
             checks,
@@ -519,14 +544,6 @@ def run_stability(
             [(r.sigma, r.err, r.amplification, r.bound) for r in rows],
         )
     ]
-    config = {
-        "experiment": "stability",
-        "W": w,
-        "T_DS": t_ds,
-        "sigmas": [float(s) for s in sigmas],
-        "seed": seed,
-        "grid": _grid_echo(grid),
-    }
     metrics = {"bound": rows[0].bound if rows else None}
     return _finish(outdir, "stability", config, checks, metrics, artifacts, t0)
 
@@ -656,7 +673,9 @@ def run_quantum_pipeline(
     remainder is momentum-truncated and handed to free-evolution
     tomography on seeded random (x, t) samples.  The fitted density matrix
     is checked against the truth, reduced to its principal state, and the
-    gap inverted; the report carries the end-to-end fidelity.
+    gap inverted; the report carries the end-to-end fidelity.  At or past
+    the limit the inversion refuses and no artifacts are written; the run
+    passes when the refusal is consistent with XP >= 1 (or lambda0 at 1).
     """
     outdir, t0 = _prepare(outdir)
     grid = grid if grid is not None else default_quantum_grid()
@@ -664,6 +683,16 @@ def run_quantum_pipeline(
         x_window=Interval(0.0, x), p_band=Interval(0.0, p)
     )
     psi_p = _pipeline_input(grid, windows.p_band)
+    config = {
+        "experiment": "quantum_pipeline",
+        "P": p,
+        "X": x,
+        "n_x": n_x,
+        "n_t": n_t,
+        "t_max": t_max,
+        "seed": seed,
+        "grid": _grid_echo(grid),
+    }
     checks = []
     metrics = {"XP": windows.xp}
     artifacts = []
@@ -694,16 +723,6 @@ def run_quantum_pipeline(
             {"error": str(exc), "pairs": [repr(p_) for p_ in exc.pairs or []]},
             "design condition number below 1e10",
         )
-        config = {
-            "experiment": "quantum_pipeline",
-            "P": p,
-            "X": x,
-            "n_x": n_x,
-            "n_t": n_t,
-            "t_max": t_max,
-            "seed": seed,
-            "grid": _grid_echo(grid),
-        }
         return _finish(
             outdir, "quantum_pipeline", config, checks, metrics, artifacts, t0
         )
@@ -713,8 +732,6 @@ def run_quantum_pipeline(
     rank_gap = float(evals[-1] - evals[-2])
     psi_extract = rank1_extract(fit.rho)
     extract_fid = fidelity(psi_extract, psi_t)
-    psi_rec = recover_state(psi_extract, windows)
-    fid = fidelity(psi_rec, psi_p)
     metrics.update(
         {
             "tomography_error": fit_err,
@@ -722,7 +739,6 @@ def run_quantum_pipeline(
             "residual": fit.residual,
             "rank_gap": rank_gap,
             "extract_fidelity": extract_fid,
-            "pipeline_fidelity": fid,
             "populations_resolved": fit.populations_resolved,
             "psd_projected": fit.psd_projected,
         }
@@ -742,6 +758,23 @@ def run_quantum_pipeline(
         float(evals[-2]),
         1e-6,
     )
+    try:
+        psi_rec = recover_state(psi_extract, windows)
+    except RefusalError as exc:
+        metrics["recovery_refusal"] = str(exc)
+        _check(
+            checks,
+            "refusal_consistent_with_limit",
+            windows.xp >= 1.0
+            or operator_norm_sq(grid, windows.p_band, windows.x_window) > 1.0 - 1e-6,
+            {"XP": windows.xp, "reason": str(exc)},
+            "state recovery refuses only when XP >= 1 or lambda0 is at 1",
+        )
+        return _finish(
+            outdir, "quantum_pipeline", config, checks, metrics, artifacts, t0
+        )
+    fid = fidelity(psi_rec, psi_p)
+    metrics["pipeline_fidelity"] = fid
     _check(
         checks,
         "pipeline_fidelity",
@@ -774,16 +807,6 @@ def run_quantum_pipeline(
             title="state recovery through the coordinate gap",
         ),
     ]
-    config = {
-        "experiment": "quantum_pipeline",
-        "P": p,
-        "X": x,
-        "n_x": n_x,
-        "n_t": n_t,
-        "t_max": t_max,
-        "seed": seed,
-        "grid": _grid_echo(grid),
-    }
     return _finish(
         outdir, "quantum_pipeline", config, checks, metrics, artifacts, t0
     )

@@ -21,7 +21,7 @@ from .core import (
     inverse_signal,
     l2_norm,
 )
-from .errors import NonConvergenceError, NotBandlimitedError
+from .errors import BoundViolationError, NonConvergenceError, NotBandlimitedError
 
 __all__ = [
     "band_project",
@@ -129,7 +129,8 @@ def concentration_ratio(s: SampledSignal, band: Interval, window: Interval) -> f
         raise ValueError("signal has no energy inside the band")
     ratio = l2_norm(time_gate(sw, window)) ** 2 / denom
     limit = min(1.0, band.width * window.width + eps_grid(s.grid, band, window))
-    assert ratio <= limit + 1e-12, f"concentration {ratio} exceeds bound {limit}"
+    if not ratio <= limit + 1e-12:
+        raise BoundViolationError(f"concentration {ratio} exceeds bound {limit}")
     return ratio
 
 
@@ -218,7 +219,8 @@ def band_spill_ratio(s_w: SampledSignal, band: Interval, window: Interval) -> fl
         raise ValueError("signal has no energy inside the window")
     ratio = 1.0 - l2_norm(band_project(g, band)) ** 2 / denom
     floor = 1.0 - band.width * window.width - eps_grid(s_w.grid, band, window)
-    assert ratio >= floor - 1e-12, f"spill {ratio} below bound {floor}"
+    if not ratio >= floor - 1e-12:
+        raise BoundViolationError(f"spill {ratio} below bound {floor}")
     return ratio
 
 

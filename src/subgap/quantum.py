@@ -28,7 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Interval, SampledSignal, Spectrum, TimeGrid
-from .errors import NotBandlimitedError, RefusalError, DegenerateDesignError
+from .errors import (
+    BoundViolationError,
+    DegenerateDesignError,
+    NotBandlimitedError,
+    RefusalError,
+)
 from .projections import eps_grid, operator_norm_sq
 
 __all__ = [
@@ -250,7 +255,8 @@ def landau_pollak_ratio(psi: WaveFunction, windows: PhaseSpaceWindows) -> float:
     limit = min(
         1.0, windows.xp + eps_grid(psi.grid, windows.p_band, windows.x_window)
     )
-    assert ratio <= limit + 1e-12, f"ratio {ratio} exceeds bound {limit}"
+    if not ratio <= limit + 1e-12:
+        raise BoundViolationError(f"ratio {ratio} exceeds bound {limit}")
     return ratio
 
 
@@ -371,7 +377,9 @@ def evolve_diagonal_series(rho: DensityMatrix, x_points, t_points) -> EvolutionS
         u = np.exp(-1j * om * ti)
         rho_t = (u[:, None] * rho.elements) * u.conj()[None, :]
         vals = np.einsum("xj,jk,xk->x", phases, rho_t, phases.conj())
-        assert np.max(np.abs(vals.imag)) <= 1e-10 * max(1.0, np.max(np.abs(vals.real)))
+        imag = np.max(np.abs(vals.imag))
+        if not imag <= 1e-10 * max(1.0, np.max(np.abs(vals.real))):
+            raise BoundViolationError(f"density has imaginary part {imag:.3e} at t={ti}")
         rows[i] = dp * vals.real
     return EvolutionSamples(x_points=x, t_points=t, values=rows)
 

@@ -301,7 +301,8 @@ def noise_stability_sweep(
     For each sigma, complex white noise of L2 norm sigma (fixed seed, zeroed
     on the window) is added to the erased signal and the series solver is
     run.  The amplification err/sigma is bounded by the geometric-series
-    constant 1/(1 - sqrt(lambda0)) plus 10% slack, which each row asserts.
+    constant 1/(1 - sqrt(lambda0)) plus 10% slack; each row carries both,
+    so the caller can check them.
     """
     report = invertibility_report(s_w.grid, band, window)
     if not report.invertible:
@@ -323,6 +324,5 @@ def noise_stability_sweep(
         rec = recover_neumann(erase(s_w, model), band, window, tol=tol)
         err = l2_norm(SampledSignal(s_w.grid, rec.recovered.values - s_w.values))
         amp = err / sigma if sigma > 0.0 else 0.0
-        assert amp <= bound, f"amplification {amp} exceeds bound {bound} at sigma={sigma}"
         rows.append(StabilityRow(sigma=sigma, err=err, amplification=amp, bound=bound))
     return rows

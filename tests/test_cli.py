@@ -149,3 +149,20 @@ def test_runs_are_byte_identical(tmp_path):
     assert names, "expected CSV artifacts"
     for name in names + ["tomography.json"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "cfg,stage",
+    [
+        ({"experiment": "stability", "W": 2.0, "T_DS": 0.5}, "sweep"),
+        ({"experiment": "quantum_pipeline", "P": 1.0, "X": 1.25}, "state recovery"),
+    ],
+)
+def test_run_past_the_limit_records_the_refusal(tmp_path, cfg, stage):
+    out = tmp_path / "out"
+    assert main(["run", str(_write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is True
+    refusal = [c for c in report["checks"] if c["name"] == "refusal_consistent_with_limit"]
+    assert len(refusal) == 1 and refusal[0]["passed"]
+    assert stage in refusal[0]["threshold"]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import subgap.projections
 from subgap import (
+    BoundViolationError,
     Interval,
     NotBandlimitedError,
     SampledSignal,
@@ -148,6 +150,16 @@ def test_band_spill_floor(grid, w, t, random_bandlimited):
     for seed in range(3):
         spill = band_spill_ratio(random_bandlimited(band, 20 + seed), band, window)
         assert floor <= spill <= 1.0 + 1e-12
+
+
+def test_broken_bounds_raise_typed_errors(grid, band, s_w, monkeypatch):
+    # a negative grid slack makes both bounds unsatisfiable
+    monkeypatch.setattr(subgap.projections, "eps_grid", lambda *args: -1.0)
+    window = Interval(0.0, 0.25)
+    with pytest.raises(BoundViolationError):
+        concentration_ratio(s_w, band, window)
+    with pytest.raises(BoundViolationError):
+        band_spill_ratio(s_w, band, window)
 
 
 def test_band_spill_requires_bandlimited_input(grid, band):

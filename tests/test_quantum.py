@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import subgap.quantum
 from subgap import (
+    BoundViolationError,
     DegenerateDesignError,
     DensityMatrix,
     Interval,
@@ -97,6 +99,14 @@ def test_window_probability_needs_band_energy(qgrid):
     windows = PhaseSpaceWindows(Interval(0.0, 0.5), P_BAND)
     with pytest.raises(ValueError):
         landau_pollak_ratio(tone, windows)
+
+
+def test_window_probability_above_its_bound_raises(qgrid, monkeypatch):
+    # a negative grid slack pushes the bound below any attainable ratio
+    monkeypatch.setattr(subgap.quantum, "eps_grid", lambda *args: -1.0)
+    windows = PhaseSpaceWindows(Interval(0.0, 0.5), P_BAND)
+    with pytest.raises(BoundViolationError):
+        landau_pollak_ratio(_state(qgrid), windows)
 
 
 def test_gate_state_vanishes_on_window_and_spills(qgrid):

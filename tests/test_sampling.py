@@ -1,5 +1,7 @@
 """Comb sampling, sinc interpolation, periodization, and copy recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,16 @@ from subgap import (
     Interval,
     SampledSignal,
     SpectralCopyConfig,
+    Spectrum,
+    TimeGrid,
     band_approx_first_term,
     band_interpolate,
+    band_project,
     comb_sample,
     erase,
     forward_spectrum,
     integral_equation_residual,
+    make_demo_signal,
     out_of_band_fraction,
     periodized_spectrum,
     sinc_reconstruct,
@@ -172,3 +178,87 @@ def test_integral_equation_residual_flags_mismatch(grid, band, s_w):
     s_hat = forward_spectrum(s_w)
     resid = integral_equation_residual(s_hat, s_hat, band, t_ds)
     assert resid >= 1e-3
+
+
+# -- the FFT kernels against direct evaluation of their defining sums ------
+
+SMALL = TimeGrid(-4.0, 1.0 / 32, 256)
+
+
+def _random_signal(grid, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    return SampledSignal(grid, raw)
+
+
+def _sup_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("period", [0.25, 1.0])
+@pytest.mark.parametrize("where", ["grid", "instants", "shifted", "beyond"])
+def test_sinc_series_matches_dense_sum(period, where):
+    c = comb_sample(_random_signal(SMALL, 1), period)
+    at = {
+        "grid": SMALL,
+        "instants": TimeGrid(float(c.instants[0]), period, c.offsets.size),
+        "shifted": TimeGrid(SMALL.t_start + 37 * SMALL.dt, SMALL.dt, 128),
+        "beyond": TimeGrid(2.0, period / 2, 40),  # runs past the last sample
+    }[where]
+    dense = np.sinc((at.times[:, None] - c.instants[None, :]) / period) @ c.values
+    assert _sup_rel(sinc_reconstruct(c, at).values, dense) <= 1e-12
+
+
+def test_sinc_series_rejects_grid_off_the_comb_lattice():
+    c = comb_sample(_random_signal(SMALL, 1), 0.25)
+    with pytest.raises(ValueError):
+        sinc_reconstruct(c, TimeGrid(-4.0, 0.1, 64))  # period/dt = 2.5
+    with pytest.raises(ValueError):
+        sinc_reconstruct(c, TimeGrid(-4.0 + SMALL.dt / 2, SMALL.dt, 64))  # t=0 off
+
+
+@pytest.mark.parametrize("period", [0.25, 1.0])
+def test_periodized_spectrum_matches_dense_sum(period):
+    c = comb_sample(_random_signal(SMALL, 2), period)
+    freqs = SMALL.dual.frequencies
+    dense = period * np.exp(2j * np.pi * np.outer(freqs, c.instants)) @ c.values
+    assert _sup_rel(periodized_spectrum(c).values, dense) <= 1e-12
+
+
+@pytest.mark.parametrize("t_ds", [2.0 / 32, 0.25, 1.0])
+def test_integral_equation_residual_matches_dirichlet_form(t_ds):
+    band = Interval(0.25, 3.0)
+    fg = SMALL.dual
+    rng = np.random.default_rng(3)
+    s_hat, r_hat = (
+        Spectrum(fg, rng.standard_normal(fg.n) + 1j * rng.standard_normal(fg.n))
+        for _ in range(2)
+    )
+    keep = band.mask(fg.frequencies)
+    w = fg.frequencies[keep]
+    times = SMALL.times
+    tb = times[(times >= -t_ds / 2) & (times < t_ds / 2)]
+    delta = np.subtract.outer(w, w)[:, :, None]
+    kernel = SMALL.dt * np.exp(2j * np.pi * delta * tb).sum(axis=-1)
+    s_in, r_in = s_hat.values[keep], r_hat.values[keep]
+    resid = r_in - s_in + fg.dw * (kernel @ s_in)
+    dense = np.sqrt(fg.dw * np.sum(np.abs(resid) ** 2))
+    got = integral_equation_residual(s_hat, r_hat, band, t_ds)
+    assert abs(got - dense) <= 1e-12 * dense
+
+
+def test_sampling_kernels_stay_small_at_scale():
+    # n = 2^16 at period 1/4: a dense n x K kernel would need about 4 GiB
+    grid = TimeGrid(-512.0, 1.0 / 64, 1 << 16)
+    band = Interval(0.0, 2.0)
+    s_w = band_project(make_demo_signal(grid), band)
+    tracemalloc.start()
+    try:
+        c = comb_sample(s_w, 0.25)
+        recon = band_interpolate(c, band)
+        per = periodized_spectrum(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    assert recon.grid == grid and per.grid == grid.dual
