@@ -14,6 +14,7 @@ continuum counterparts with a quantifiable O(dt) error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,10 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_start) and math.isfinite(self.dt)):
+            raise ValueError(
+                f"t_start and dt must be finite, got {self.t_start}, {self.dt}"
+            )
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.n < 2 or self.n % 2 != 0:
@@ -121,6 +126,10 @@ class Interval:
     width: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.center) and math.isfinite(self.width)):
+            raise ValueError(
+                f"center and width must be finite, got {self.center}, {self.width}"
+            )
         if self.width <= 0:
             raise ValueError(f"width must be > 0, got {self.width}")
 
@@ -192,12 +201,14 @@ def forward_spectrum(s: SampledSignal) -> Spectrum:
 
     Computed through the FFT: with t_k = t_start + k dt and
     w_j = (j - n/2) dw the kernel splits into a standard inverse DFT and a
-    phase ramp carrying t_start, so the sum is exact to rounding.
+    phase ramp carrying t_start, so the sum is exact to rounding.  The
+    ramp's phase w_j t_start is reduced mod 1 before it is scaled by 2 pi,
+    so its rounding error does not grow with |w_j t_start|.
     """
     g = s.grid
     freqs = g.dual.frequencies
     spec = g.dt * g.n * np.fft.fftshift(np.fft.ifft(s.values))
-    spec = spec * np.exp(2j * np.pi * freqs * g.t_start)
+    spec = spec * np.exp(2j * np.pi * np.mod(freqs * g.t_start, 1.0))
     return Spectrum(g.dual, spec)
 
 
@@ -205,7 +216,7 @@ def inverse_signal(spec: Spectrum) -> SampledSignal:
     """Exact inverse of :func:`forward_spectrum` (negative kernel, dw weights)."""
     tg = spec.grid.time_grid
     freqs = spec.grid.frequencies
-    g = spec.values * np.exp(-2j * np.pi * freqs * tg.t_start)
+    g = spec.values * np.exp(-2j * np.pi * np.mod(freqs * tg.t_start, 1.0))
     vals = spec.grid.dw * np.fft.fft(np.fft.ifftshift(g))
     return SampledSignal(tg, vals)
 

@@ -16,7 +16,8 @@ class NotBandlimitedError(SubgapError, ValueError):
 class RefusalError(SubgapError, RuntimeError):
     """A solver refused to run because its invertibility guard failed.
 
-    The message carries the measured quantities (WT, largest eigenvalue,
+    The message carries the measured quantities (WT and the largest
+    eigenvalue lambda0, the in-band dimension, or a tomography design's
     condition number) so the caller can see why.
     """
 

@@ -290,9 +290,10 @@ def run_bounds_audit(
 ):
     """Audit the concentration bounds over a (W, T) sweep.
 
-    Per pair: power-iteration lambda0 against WT + eps_grid and against a
-    dense eigensolve, the gram-matrix trace against WT, the concentration
-    ratio of the demo signal, and the band-spill floor of its gated copy.
+    Per pair: the exact min(M, K) Gram-matrix lambda0 against WT + eps_grid
+    and against a dense eigensolve of the M x M prolate matrix, that
+    matrix's trace against WT, the concentration ratio of the demo signal,
+    and the band-spill floor of its gated copy.
     """
     outdir, t0 = _prepare(outdir)
     grid = grid if grid is not None else default_grid()

@@ -12,16 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    Interval,
-    SampledSignal,
-    Spectrum,
-    TimeGrid,
-    forward_spectrum,
-    inverse_signal,
-    l2_norm,
-)
-from .errors import BoundViolationError, NonConvergenceError, NotBandlimitedError
+from .core import Interval, SampledSignal, TimeGrid, l2_norm
+from .errors import BoundViolationError, NotBandlimitedError
 
 __all__ = [
     "band_project",
@@ -60,12 +52,15 @@ def _check_window(grid: TimeGrid, window: Interval):
 
 
 def band_project(s: SampledSignal, band: Interval) -> SampledSignal:
-    """Apply P_W: zero all spectrum bins outside ``band``, transform back."""
+    """Apply P_W: zero all spectrum bins outside ``band``, transform back.
+
+    The ``t_start`` phase ramps of :func:`forward_spectrum` and
+    :func:`inverse_signal` cancel around the diagonal mask, so P_W is one
+    FFT pair with the mask in unshifted bin order.
+    """
     _check_band(s.grid, band)
-    spec = forward_spectrum(s)
-    keep = band.mask(spec.grid.frequencies)
-    vals = np.where(keep, spec.values, 0.0)
-    return inverse_signal(Spectrum(spec.grid, vals))
+    keep = np.fft.ifftshift(band.mask(s.grid.dual.frequencies))
+    return SampledSignal(s.grid, np.fft.fft(np.fft.ifft(s.values) * keep))
 
 
 def time_gate(s: SampledSignal, window: Interval) -> SampledSignal:
@@ -134,13 +129,11 @@ def concentration_ratio(s: SampledSignal, band: Interval, window: Interval) -> f
     return ratio
 
 
-def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
-    """The operator P_W P_T P_W restricted to the in-band spectral basis.
+def _gated_exponentials(grid: TimeGrid, band: Interval, window: Interval):
+    """E_jk = exp(2 pi i w_j t_k) over the M in-band bins and K gated samples.
 
-    With w_j the M in-band bin frequencies and t_k the gated sample
-    instants, the matrix is B = dt * dw * E E^H, E_jk = exp(2 pi i w_j t_k).
-    B is Hermitian PSD with trace dt*dw*M*K ~ WT, and its largest
-    eigenvalue equals ||P_T P_W||^2.
+    In the in-band spectral basis P_W P_T P_W is c * E E^H with
+    c = dt * dw, a matrix of rank at most min(M, K).  Returns (E, c).
     """
     _check_band(grid, band)
     _check_window(grid, window)
@@ -148,8 +141,20 @@ def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarr
     tb = grid.times[window.mask(grid.times)]
     if wb.size == 0:
         raise ValueError("band contains no frequency bins")
-    e = np.exp(2j * np.pi * np.outer(wb, tb))
-    return (grid.dt * grid.dual.dw) * (e @ e.conj().T)
+    return np.exp(2j * np.pi * np.outer(wb, tb)), grid.dt * grid.dual.dw
+
+
+def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
+    """The operator P_W P_T P_W restricted to the in-band spectral basis.
+
+    With w_j the M in-band bin frequencies and t_k the gated sample
+    instants, the matrix is B = dt * dw * E E^H, E_jk = exp(2 pi i w_j t_k).
+    B is Hermitian PSD with trace dt*dw*M*K ~ WT, and its largest
+    eigenvalue equals ||P_T P_W||^2.  The dense M x M oracle for
+    :func:`operator_norm_sq` and the direct solve.
+    """
+    e, c = _gated_exponentials(grid, band, window)
+    return c * (e @ e.conj().T)
 
 
 def prolate_eigenvalues(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
@@ -157,47 +162,20 @@ def prolate_eigenvalues(grid: TimeGrid, band: Interval, window: Interval) -> np.
     return np.linalg.eigvalsh(prolate_matrix(grid, band, window))[::-1]
 
 
-def operator_norm_sq(
-    grid: TimeGrid,
-    band: Interval,
-    window: Interval,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-) -> float:
-    """Largest eigenvalue of P_W P_T P_W by power iteration.
+def operator_norm_sq(grid: TimeGrid, band: Interval, window: Interval) -> float:
+    """Largest eigenvalue lambda0 of P_W P_T P_W, by one Hermitian eigensolve.
 
-    Deterministic start (uniform in-band vector); stops when the Rayleigh
-    quotient changes by less than ``tol`` relative.  Equals the squared
-    operator norm ||P_T P_W||^2 and satisfies
-    0 <= lambda0 <= min(1, WT + eps_grid).
-
-    Raises
-    ------
-    NonConvergenceError
-        If ``max_iter`` is exhausted; the message reports the last
-        Rayleigh quotient and its residual change.
+    c * E E^H and c * E^H E share their nonzero eigenvalues, so lambda0 is
+    the top eigenvalue of the smaller Gram matrix, of dimension min(M, K)
+    (M in-band bins, K gated samples).  Equals the squared operator norm
+    ||P_T P_W||^2 and satisfies 0 <= lambda0 <= min(1, WT + eps_grid);
+    a window holding no sample gives 0.
     """
-    b = prolate_matrix(grid, band, window)
-    if not np.any(np.abs(b) > 0.0):
+    e, c = _gated_exponentials(grid, band, window)
+    if e.shape[1] == 0:
         return 0.0
-    m = b.shape[0]
-    v = np.full(m, 1.0 / np.sqrt(m), dtype=complex)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = b @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        lam_new = float(np.real(np.vdot(v, w)))
-        v = w / nrm
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    raise NonConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations; "
-        f"last Rayleigh quotient {lam:.16e}, last change {abs(lam_new - lam):.3e} "
-        "(near-degenerate top eigenvalues)"
-    )
+    gram = e.conj().T @ e if e.shape[1] < e.shape[0] else e @ e.conj().T
+    return float(c * np.linalg.eigvalsh(gram)[-1])
 
 
 def band_spill_ratio(s_w: SampledSignal, band: Interval, window: Interval) -> float:
@@ -209,7 +187,7 @@ def band_spill_ratio(s_w: SampledSignal, band: Interval, window: Interval) -> fl
     spill is precisely what the recovery formulas fold back.
     """
     frac = out_of_band_fraction(s_w, band)
-    if frac > BANDLIMIT_TOL:
+    if not frac <= BANDLIMIT_TOL:
         raise NotBandlimitedError(
             f"input has relative out-of-band energy {frac:.3e} > {BANDLIMIT_TOL}"
         )

@@ -82,7 +82,7 @@ class WaveFunction(SampledSignal):
         super().__post_init__()
         if self.normalized:
             nrm = wf_norm(self)
-            if abs(nrm - 1.0) > 1e-12:
+            if not abs(nrm - 1.0) <= 1e-12:
                 raise ValueError(f"flagged normalized but ||psi|| = {nrm!r}")
 
 
@@ -268,7 +268,7 @@ def gate_state(psi_p: WaveFunction, windows: PhaseSpaceWindows) -> WaveFunction:
     spoils the momentum limit.
     """
     leak = _momentum_leak(psi_p, windows.p_band)
-    if leak > MOMENTUM_LIMIT_TOL:
+    if not leak <= MOMENTUM_LIMIT_TOL:
         raise NotBandlimitedError(
             f"state has relative momentum leakage {leak:.3e} outside the band"
         )
@@ -307,9 +307,10 @@ def recover_state(
     fixed at the end.  The map is linear before that normalization, so a
     global phase on the input reappears unchanged on the output.
 
-    The operator norm is evaluated with the signal-side power iteration:
-    the quantum concentration matrix is the transpose of the classical one
-    (opposite transform sign), hence has the same spectrum.
+    The operator norm is the signal-side exact lambda0 from
+    :func:`operator_norm_sq`: the quantum concentration matrix is the
+    transpose of the classical one (opposite transform sign), hence has
+    the same spectrum.
     """
     xp = windows.xp
     lam = operator_norm_sq(psi_m_projected.grid, windows.p_band, windows.x_window)
@@ -344,7 +345,7 @@ def build_density(psi: WaveFunction, band: Interval) -> DensityMatrix:
     normalized so the trace is exactly 1.
     """
     leak = _momentum_leak(psi, band)
-    if leak > MOMENTUM_LIMIT_TOL:
+    if not leak <= MOMENTUM_LIMIT_TOL:
         raise NotBandlimitedError(
             f"state has relative momentum leakage {leak:.3e} outside the band"
         )

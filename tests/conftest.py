@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from subgap import (
     Interval,
@@ -9,6 +10,10 @@ from subgap import (
     default_grid,
     make_demo_signal,
 )
+
+# property tests draw the same examples on every run
+settings.register_profile("subgap", derandomize=True, deadline=None)
+settings.load_profile("subgap")
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ from subgap import (
     GridMismatchError,
     Interval,
     SampledSignal,
+    Spectrum,
     TimeGrid,
     forward_spectrum,
     inner_product,
@@ -25,6 +26,21 @@ def test_grid_validation():
         TimeGrid(0.0, 0.1, 65)  # odd length has no symmetric frequency axis
     with pytest.raises(ValueError):
         TimeGrid(0.0, 0.1, 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TimeGrid(0.0, float("nan"), 64),
+        lambda: TimeGrid(float("inf"), 0.1, 64),
+        lambda: Interval(0.0, float("inf")),
+        lambda: Interval(float("nan"), 1.0),
+    ],
+    ids=["grid-dt-nan", "grid-start-inf", "interval-width-inf", "interval-center-nan"],
+)
+def test_non_finite_grid_and_interval_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_grid_layout():
@@ -153,3 +169,19 @@ def test_spectrum_is_a_triangle(grid):
     spec = forward_spectrum(make_demo_signal(grid))
     tri = np.clip(1.0 - np.abs(spec.grid.frequencies), 0.0, None)
     assert np.max(np.abs(spec.values - tri)) <= 3.5e-3
+
+
+def test_transform_pair_matches_closed_form_at_the_grid_edge(grid):
+    # an impulse at the last sample and a line at the lowest bin have
+    # closed-form transforms whose phases w*t reach |w*t_start| = 1024 here
+    w = grid.dual.frequencies
+    impulse = np.zeros(grid.n)
+    impulse[-1] = 1.0
+    spec = forward_spectrum(SampledSignal(grid, impulse)).values
+    closed = grid.dt * np.exp(2j * np.pi * np.mod(w * grid.times[-1], 1.0))
+    assert np.max(np.abs(spec - closed)) <= 1e-14 * grid.dt
+    line = np.zeros(grid.n, dtype=complex)
+    line[0] = 1.0
+    sig = inverse_signal(Spectrum(grid.dual, line)).values
+    closed = grid.dual.dw * np.exp(-2j * np.pi * np.mod(w[0] * grid.times, 1.0))
+    assert np.max(np.abs(sig - closed)) <= 1e-14 * grid.dual.dw

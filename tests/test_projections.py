@@ -9,12 +9,16 @@ from subgap import (
     Interval,
     NotBandlimitedError,
     SampledSignal,
+    Spectrum,
+    TimeGrid,
     band_project,
     band_spill_ratio,
     complement_gate,
     concentration_ratio,
     eps_grid,
+    forward_spectrum,
     inner_product,
+    inverse_signal,
     l2_norm,
     make_demo_signal,
     operator_norm_sq,
@@ -28,6 +32,11 @@ from subgap import (
 
 # (W, T) pairs realizing WT in {0.1, 0.25, 0.5, 0.9} on the default grid
 SWEEP = [(1.6, 1.0 / 16), (1.0, 0.25), (2.0, 0.25), (3.6, 0.25)]
+
+# one pair on each side of the min(M, K) selection on the default grid:
+# M = 128 in-band bins over K = 16 gated samples, and M = 16 over K = 192
+FEW_SAMPLES = (2.0, 0.25)
+FEW_BINS = (0.25, 3.0)
 
 
 def _random_signal(grid, seed):
@@ -57,6 +66,19 @@ def test_projectors_self_adjoint(grid, band):
         lhs = inner_product(proj(a), b)
         rhs = inner_product(a, proj(b))
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def test_band_project_equals_the_masked_transform_pair():
+    # an off-centre band on a grid whose t_start and dt are not dyadic, so
+    # the transform pair's t_start ramps are not exactly +-1
+    grid = TimeGrid(-10.3, 0.01, 2048)
+    band = Interval(3.7, 5.3)
+    s = _random_signal(grid, 4)
+    spec = forward_spectrum(s)
+    keep = band.mask(spec.grid.frequencies)
+    ramped = inverse_signal(Spectrum(spec.grid, np.where(keep, spec.values, 0.0)))
+    diff = np.max(np.abs(band_project(s, band).values - ramped.values))
+    assert diff <= 1e-14 * np.max(np.abs(s.values))
 
 
 def test_gate_and_complement_partition(grid):
@@ -99,6 +121,20 @@ def test_operator_norm_bound_and_dense_agreement(grid, w, t):
     assert abs(lam - evals[0]) <= 1e-8
     # the whole spectrum sits in [0, 1] up to round-off
     assert evals[-1] >= -1e-12 and evals[0] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("w,t", [FEW_SAMPLES, FEW_BINS])
+def test_operator_norm_is_the_dense_top_eigenvalue(grid, w, t):
+    band = Interval(0.0, w)
+    window = Interval(0.0, t)
+    lam = operator_norm_sq(grid, band, window)
+    assert abs(lam - prolate_eigenvalues(grid, band, window)[0]) <= 1e-12
+    # I - B is Hermitian with B PSD, so its condition number is at most
+    # 1/(1 - lambda0): no separate condition check is needed once the
+    # lambda0 margin holds
+    b = prolate_matrix(grid, band, window)
+    cond = np.linalg.cond(np.eye(b.shape[0]) - b)
+    assert cond <= (1.0 + 1e-9) / (1.0 - lam)
 
 
 @pytest.mark.parametrize("w,t", SWEEP)
@@ -165,6 +201,13 @@ def test_broken_bounds_raise_typed_errors(grid, band, s_w, monkeypatch):
 def test_band_spill_requires_bandlimited_input(grid, band):
     with pytest.raises(NotBandlimitedError):
         band_spill_ratio(make_demo_signal(grid), band, Interval(0.0, 0.25))
+
+
+def test_band_spill_rejects_non_finite_input(grid, band, s_w):
+    vals = s_w.values.copy()
+    vals[0] = np.nan
+    with pytest.raises(NotBandlimitedError):
+        band_spill_ratio(SampledSignal(grid, vals), band, Interval(0.0, 0.25))
 
 
 def test_segment_compatibility_bounded(grid, band):

@@ -133,6 +133,18 @@ def test_gate_state_requires_momentum_limited_input(qgrid):
         gate_state(raw, windows)
 
 
+def test_non_finite_states_are_rejected(qgrid):
+    vals = _state(qgrid).values.copy()
+    vals[5] = np.nan
+    with pytest.raises(ValueError):
+        WaveFunction(qgrid, vals, normalized=True)
+    psi = WaveFunction(qgrid, vals)
+    with pytest.raises(NotBandlimitedError):
+        gate_state(psi, PhaseSpaceWindows(Interval(0.0, 0.5), P_BAND))
+    with pytest.raises(NotBandlimitedError):
+        build_density(psi, P_BAND)
+
+
 def test_momentum_smooth_matches_kernel_form(qgrid):
     windows = PhaseSpaceWindows(Interval(0.0, 0.5), P_BAND)
     psi = _state(qgrid)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subgap import (
     ErasureModel,
@@ -9,6 +11,7 @@ from subgap import (
     NotBandlimitedError,
     RefusalError,
     SampledSignal,
+    TimeGrid,
     band_project,
     erase,
     invertibility_report,
@@ -16,6 +19,7 @@ from subgap import (
     make_demo_signal,
     noise_stability_sweep,
     out_of_band_fraction,
+    prolate_eigenvalues,
     recover_band_neumann,
     recover_direct,
     recover_neumann,
@@ -40,6 +44,15 @@ def test_erase_requires_bandlimited_input(grid, band):
     # the raw demo signal has ~1e-4 out-of-band energy from the finite window
     with pytest.raises(NotBandlimitedError):
         erase(make_demo_signal(grid), ErasureModel(window=WINDOW, source_band=band))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_erase_rejects_non_finite_samples(grid, band, s_w, bad):
+    vals = s_w.values.copy()
+    vals[grid.n // 3] = bad
+    with pytest.raises(NotBandlimitedError):
+        erase(SampledSignal(grid, vals), ErasureModel(window=WINDOW, source_band=band))
 
 
 def test_noise_must_vanish_on_the_window(grid, band):
@@ -109,6 +122,23 @@ def test_direct_solve_agrees_with_series(grid, band, s_w):
     assert diff / l2_norm(s_w) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "w,t", [(2.0, 0.25), (0.25, 3.0)], ids=["K<M", "K>=M"]
+)
+def test_direct_and_band_solvers_recover_the_truth(grid, random_bandlimited, w, t):
+    # both sides of the min(M, K) selection: M = 128 bins over K = 16
+    # samples (Woodbury), and M = 16 bins over K = 192 samples
+    band = Interval(0.3, w)
+    window = Interval(-1.1, t)
+    s = random_bandlimited(band, seed=9)
+    r = _erased(s, band, window)
+    scale = l2_norm(s)
+    direct = recover_direct(r, band, window)
+    assert l2_norm(SampledSignal(grid, direct.values - s.values)) <= 1e-12 * scale
+    series = recover_band_neumann(r, band, window).recovered
+    assert l2_norm(SampledSignal(grid, series.values - s.values)) <= 1e-8 * scale
+
+
 def test_all_solvers_refuse_past_the_limit(grid, band, s_w):
     window = Interval(0.0, 1.0)  # WT = 2
     r = _erased(s_w, band, window)
@@ -144,3 +174,36 @@ def test_noise_amplification_bounded(grid, band, s_w):
 def test_stability_sweep_refuses_past_the_limit(band, s_w):
     with pytest.raises(RefusalError):
         noise_stability_sweep(s_w, band, Interval(0.0, 1.0), (1e-4,))
+
+
+@given(
+    w=st.floats(0.25, 4.0),
+    t=st.floats(1.0 / 16, 2.0),
+    place=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_direct_solve_is_linear_and_refusal_is_exact(w, t, place, seed):
+    grid = TimeGrid(-8.0, 1.0 / 64, 1024)
+    band = Interval(0.0, w)
+    window = Interval(grid.t_start + t / 2 + place * (grid.span - t), t)
+    lam = prolate_eigenvalues(grid, band, window)[0]
+    refuse = w * t >= 1.0 or lam > 1.0 - 1e-6
+    rng = np.random.default_rng(seed)
+    r1, r2 = (
+        SampledSignal(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+        for _ in range(2)
+    )
+    # refusal is decided before the first iteration, so one step suffices
+    for solver in (recover_neumann, recover_band_neumann):
+        assert solver(r1, band, window, k_max=1).refused == refuse
+    if refuse:
+        with pytest.raises(RefusalError):
+            recover_direct(r1, band, window)
+        return
+    a, b = 0.6 - 1.3j, 2.1 + 0.4j
+    mix = recover_direct(SampledSignal(grid, a * r1.values + b * r2.values), band, window)
+    d1 = recover_direct(r1, band, window).values
+    d2 = recover_direct(r2, band, window).values
+    scale = abs(a) * np.linalg.norm(d1) + abs(b) * np.linalg.norm(d2)
+    # a backward-stable solve is accurate to eps times cond = 1/(1 - lambda0)
+    assert np.linalg.norm(mix.values - a * d1 - b * d2) <= 1e-12 / (1.0 - lam) * scale
