@@ -23,7 +23,12 @@ class RefusalError(SubgapError, RuntimeError):
 
 
 class NonConvergenceError(SubgapError, RuntimeError):
-    """An iterative solver hit its iteration cap without converging."""
+    """An iterative solver stopped before reaching its tolerance.
+
+    Raised by ``recover_state`` when the Neumann series exhausts its
+    iteration cap or its update norm stops decreasing; the classical
+    solvers report the same outcome as ``RecoveryReport.converged``.
+    """
 
 
 class BoundViolationError(SubgapError, RuntimeError):

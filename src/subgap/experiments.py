@@ -766,8 +766,7 @@ def run_quantum_pipeline(
         _check(
             checks,
             "refusal_consistent_with_limit",
-            windows.xp >= 1.0
-            or operator_norm_sq(grid, windows.p_band, windows.x_window) > 1.0 - 1e-6,
+            not invertibility_report(grid, windows.p_band, windows.x_window).invertible,
             {"XP": windows.xp, "reason": str(exc)},
             "state recovery refuses only when XP >= 1 or lambda0 is at 1",
         )

@@ -11,6 +11,13 @@ recovered whenever XP < 1:
 * the original state is the geometric series
   (1 - P_P P_X P_P)^{-1} P_P psi_M up to normalization.
 
+Only the kernel's sign differs from the signal side, so each momentum-side
+operator is the conjugate of a signal-side one: momentum_spectrum(psi) =
+conj(forward_spectrum(conj psi)), P_P = conj P_W conj and P_X = P_T.  The
+transform pair, the projectors, the concentration bound, the refusal
+policy and the Neumann series thus exist once; :func:`recover_state`
+raises NonConvergenceError when the series stops short of its tolerance.
+
 The smoothed state is observable through free evolution: the coordinate
 diagonal rho(x, t) of exp(-iHt) rho exp(+iHt), H = p^2/2m, exposes each
 off-diagonal momentum pair through its own frequency omega(p) - omega(p'),
@@ -27,14 +34,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Interval, SampledSignal, Spectrum, TimeGrid
+from .core import (
+    Interval,
+    SampledSignal,
+    Spectrum,
+    TimeGrid,
+    forward_spectrum,
+    inverse_signal,
+    l2_norm,
+)
 from .errors import (
     BoundViolationError,
     DegenerateDesignError,
+    NonConvergenceError,
     NotBandlimitedError,
     RefusalError,
 )
-from .projections import eps_grid, operator_norm_sq
+from .projections import (
+    band_project,
+    complement_gate,
+    concentration_ratio,
+    out_of_band_fraction,
+    time_gate,
+)
+from .recovery import recover_band_neumann
 
 __all__ = [
     "WaveFunction",
@@ -187,27 +210,28 @@ class TomographyResult:
     psd_projected: bool
 
 
+def _conj(obj, kind=SampledSignal):
+    """The complex conjugate of a wavefunction or spectrum, as a ``kind``."""
+    return kind(obj.grid, np.conj(obj.values))
+
+
 def momentum_spectrum(psi: WaveFunction) -> Spectrum:
-    """psi_hat(p) = dx * sum_x psi(x) exp(-2 pi i p x) on the dual grid."""
-    g = psi.grid
-    p = g.dual.frequencies
-    vals = g.dt * np.fft.fftshift(np.fft.fft(psi.values))
-    vals = vals * np.exp(-2j * np.pi * p * g.t_start)
-    return Spectrum(g.dual, vals)
+    """psi_hat(p) = dx * sum_x psi(x) exp(-2 pi i p x) on the dual grid.
+
+    The conjugate of :func:`forward_spectrum`: conj(forward_spectrum(conj psi)).
+    """
+    return _conj(forward_spectrum(_conj(psi)), Spectrum)
 
 
 def position_wave(spec: Spectrum, normalized: bool = False) -> WaveFunction:
     """Inverse of :func:`momentum_spectrum`: psi(x) = dp * sum_p psi_hat exp(+2 pi i p x)."""
-    tg = spec.grid.time_grid
-    p = spec.grid.frequencies
-    g = spec.values * np.exp(2j * np.pi * p * tg.t_start)
-    vals = spec.grid.dw * tg.n * np.fft.ifft(np.fft.ifftshift(g))
-    return WaveFunction(tg, vals, normalized=normalized)
+    s = inverse_signal(_conj(spec, Spectrum))
+    return WaveFunction(s.grid, np.conj(s.values), normalized=normalized)
 
 
 def wf_norm(psi: WaveFunction) -> float:
-    """dx-weighted L2 norm of a wavefunction."""
-    return float(np.sqrt(psi.grid.dt * np.sum(np.abs(psi.values) ** 2)))
+    """dx-weighted L2 norm of a wavefunction (:func:`l2_norm`)."""
+    return l2_norm(psi)
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:
@@ -219,24 +243,21 @@ def fidelity(a: WaveFunction, b: WaveFunction) -> float:
 
 
 def momentum_limit(psi: WaveFunction, band: Interval) -> WaveFunction:
-    """Apply P_P: zero momentum components outside ``band``."""
-    spec = momentum_spectrum(psi)
-    keep = band.mask(spec.grid.frequencies)
-    return position_wave(Spectrum(spec.grid, np.where(keep, spec.values, 0.0)))
+    """Apply P_P: zero momentum components outside ``band`` (conj P_W conj)."""
+    return _conj(band_project(_conj(psi), band), WaveFunction)
 
 
 def position_gate(psi: WaveFunction, window: Interval) -> WaveFunction:
-    """Apply P_X: zero coordinate samples outside ``window``."""
-    keep = window.mask(psi.grid.times)
-    return WaveFunction(psi.grid, np.where(keep, psi.values, 0.0))
+    """Apply P_X: zero coordinate samples outside ``window`` (P_T)."""
+    return WaveFunction(psi.grid, time_gate(psi, window).values)
 
 
-def _momentum_leak(psi: WaveFunction, band: Interval) -> float:
-    total = wf_norm(psi)
-    if total == 0.0:
-        return 0.0
-    kept = momentum_limit(psi, band)
-    return wf_norm(WaveFunction(psi.grid, psi.values - kept.values)) / total
+def _require_momentum_limited(psi: WaveFunction, band: Interval):
+    leak = out_of_band_fraction(_conj(psi), band)
+    if not leak <= MOMENTUM_LIMIT_TOL:
+        raise NotBandlimitedError(
+            f"state has relative momentum leakage {leak:.3e} outside the band"
+        )
 
 
 def landau_pollak_ratio(psi: WaveFunction, windows: PhaseSpaceWindows) -> float:
@@ -244,20 +265,10 @@ def landau_pollak_ratio(psi: WaveFunction, windows: PhaseSpaceWindows) -> float:
 
     Bounded by min(1, XP + eps_grid): a momentum-limited state cannot
     concentrate in a coordinate window smaller than the uncertainty limit
-    allows.
+    allows.  The signal-side :func:`concentration_ratio` of conj psi, which
+    raises :class:`BoundViolationError` past that bound.
     """
-    limited = momentum_limit(psi, windows.p_band)
-    denom = wf_norm(limited) ** 2
-    if denom <= 1e-24 * wf_norm(psi) ** 2:
-        raise ValueError("state has no energy inside the momentum band")
-    num = wf_norm(position_gate(limited, windows.x_window)) ** 2
-    ratio = num / denom
-    limit = min(
-        1.0, windows.xp + eps_grid(psi.grid, windows.p_band, windows.x_window)
-    )
-    if not ratio <= limit + 1e-12:
-        raise BoundViolationError(f"ratio {ratio} exceeds bound {limit}")
-    return ratio
+    return concentration_ratio(_conj(psi), windows.p_band, windows.x_window)
 
 
 def gate_state(psi_p: WaveFunction, windows: PhaseSpaceWindows) -> WaveFunction:
@@ -267,16 +278,12 @@ def gate_state(psi_p: WaveFunction, windows: PhaseSpaceWindows) -> WaveFunction:
     on [X] and, by the spill bound, carries momentum outside [P]: the gap
     spoils the momentum limit.
     """
-    leak = _momentum_leak(psi_p, windows.p_band)
-    if not leak <= MOMENTUM_LIMIT_TOL:
-        raise NotBandlimitedError(
-            f"state has relative momentum leakage {leak:.3e} outside the band"
-        )
-    gated = psi_p.values - position_gate(psi_p, windows.x_window).values
-    nrm = wf_norm(WaveFunction(psi_p.grid, gated))
+    _require_momentum_limited(psi_p, windows.p_band)
+    gated = complement_gate(psi_p, windows.x_window)
+    nrm = l2_norm(gated)
     if nrm <= 0.0:
         raise ValueError("gating removed the entire state")
-    return WaveFunction(psi_p.grid, gated / nrm, normalized=True)
+    return WaveFunction(psi_p.grid, gated.values / nrm, normalized=True)
 
 
 def momentum_smooth(psi_m: WaveFunction, windows: PhaseSpaceWindows) -> WaveFunction:
@@ -302,40 +309,25 @@ def recover_state(
 ) -> WaveFunction:
     """Invert the gap: psi_P from the series sum_k (P_P P_X P_P)^k P_P psi_M.
 
-    Requires XP < 1 (and the discrete operator norm below 1 - 1e-6); the
-    overall scale lost to gating is treated as a normalization constant,
-    fixed at the end.  The map is linear before that normalization, so a
-    global phase on the input reappears unchanged on the output.
-
-    The operator norm is the signal-side exact lambda0 from
-    :func:`operator_norm_sq`: the quantum concentration matrix is the
-    transpose of the classical one (opposite transform sign), hence has
-    the same spectrum.
+    The conjugate of :func:`recover_band_neumann` on conj psi_M, with [P]
+    as the band and [X] as the window, normalized at the end (the scale
+    lost to gating is a normalization constant).  The map is linear
+    before that, so a global phase on the input reappears on the output.
+    Raises RefusalError when the invertibility report fails (XP >= 1 or
+    lambda0 > 1 - 1e-6), and NonConvergenceError when the series stops
+    before its relative update falls below ``tol``.
     """
-    xp = windows.xp
-    lam = operator_norm_sq(psi_m_projected.grid, windows.p_band, windows.x_window)
-    if xp >= 1.0 or lam > 1.0 - 1e-6:
+    rep = recover_band_neumann(
+        _conj(psi_m_projected), windows.p_band, windows.x_window, tol, k_max
+    )
+    if rep.refused:
         raise RefusalError(
-            f"state recovery needs XP < 1; got XP={xp:.6g}, lambda0={lam:.6g}"
+            f"state recovery needs XP < 1 (reported as WT); {rep.reason}"
         )
-    if k_max is None:
-        rho = np.sqrt(min(xp, 1.0 - 1e-12)) if xp > 0 else 0.0
-        k_max = 50 if rho <= 0 else int(np.ceil(np.log(tol) / np.log(rho))) + 50
-    b = momentum_limit(psi_m_projected, windows.p_band)
-    x = b
-    for _ in range(k_max):
-        step = momentum_limit(
-            position_gate(x, windows.x_window), windows.p_band
-        )
-        new = WaveFunction(b.grid, b.values + step.values)
-        rel = wf_norm(WaveFunction(b.grid, new.values - x.values)) / max(
-            wf_norm(new), 1e-300
-        )
-        x = new
-        if rel < tol:
-            break
-    nrm = wf_norm(x)
-    return WaveFunction(x.grid, x.values / nrm, normalized=True)
+    if not rep.converged:
+        raise NonConvergenceError(f"state recovery stopped: {rep.reason}")
+    x = rep.recovered
+    return WaveFunction(x.grid, np.conj(x.values) / l2_norm(x), normalized=True)
 
 
 def build_density(psi: WaveFunction, band: Interval) -> DensityMatrix:
@@ -344,11 +336,7 @@ def build_density(psi: WaveFunction, band: Interval) -> DensityMatrix:
     The state must be momentum-limited to the band; coefficients are
     normalized so the trace is exactly 1.
     """
-    leak = _momentum_leak(psi, band)
-    if not leak <= MOMENTUM_LIMIT_TOL:
-        raise NotBandlimitedError(
-            f"state has relative momentum leakage {leak:.3e} outside the band"
-        )
+    _require_momentum_limited(psi, band)
     spec = momentum_spectrum(psi)
     keep = band.mask(spec.grid.frequencies)
     p_grid = spec.grid.frequencies[keep]

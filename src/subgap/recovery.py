@@ -58,7 +58,7 @@ class ErasureModel:
     """The erasure channel: unobserved window, source band, optional noise.
 
     ``noise`` models observational noise on the *kept* samples, so it must
-    vanish on the erased window.
+    be finite and vanish on the erased window.
     """
 
     window: Interval
@@ -67,8 +67,10 @@ class ErasureModel:
 
     def __post_init__(self):
         if self.noise is not None:
+            if not np.all(np.isfinite(self.noise.values)):
+                raise ValueError("noise must be finite")
             inside = self.window.mask(self.noise.grid.times)
-            if np.any(np.abs(self.noise.values[inside]) > 0.0):
+            if not np.all(np.abs(self.noise.values[inside]) <= 0.0):
                 raise ValueError("noise must vanish on the erased window")
 
 

@@ -3,21 +3,26 @@
 import numpy as np
 import pytest
 
-import subgap.quantum
+import subgap.projections
 from subgap import (
     BoundViolationError,
     DegenerateDesignError,
     DensityMatrix,
     Interval,
+    NonConvergenceError,
     NotBandlimitedError,
     PhaseSpaceWindows,
     RefusalError,
+    SampledSignal,
+    Spectrum,
     WaveFunction,
     build_density,
+    default_grid,
     eps_grid,
     evolve_diagonal_series,
     fidelity,
     gate_state,
+    invertibility_report,
     landau_pollak_ratio,
     momentum_limit,
     momentum_smooth,
@@ -25,6 +30,7 @@ from subgap import (
     position_gate,
     position_wave,
     rank1_extract,
+    recover_direct,
     recover_state,
     tomography_solve,
     wf_norm,
@@ -59,6 +65,23 @@ def test_momentum_tone_sign_convention(qgrid):
     spec = momentum_spectrum(psi)
     peak = spec.grid.frequencies[int(np.argmax(np.abs(spec.values)))]
     assert peak == pytest.approx(p0)
+
+
+def test_momentum_transform_matches_closed_form_at_the_grid_edge():
+    # <x|p> = e^{+2 pi i p x}: an impulse at the last sample and a line at
+    # the lowest bin, with phases p*x reaching |p*x_start| = 1024
+    grid = default_grid()
+    p = grid.dual.frequencies
+    impulse = np.zeros(grid.n)
+    impulse[-1] = 1.0
+    spec = momentum_spectrum(WaveFunction(grid, impulse)).values
+    closed = grid.dt * np.exp(-2j * np.pi * np.mod(p * grid.times[-1], 1.0))
+    assert np.max(np.abs(spec - closed)) <= 1e-14 * grid.dt
+    line = np.zeros(grid.n, dtype=complex)
+    line[0] = 1.0
+    psi = position_wave(Spectrum(grid.dual, line)).values
+    closed = grid.dual.dw * np.exp(2j * np.pi * np.mod(p[0] * grid.times, 1.0))
+    assert np.max(np.abs(psi - closed)) <= 1e-14 * grid.dual.dw
 
 
 def test_normalized_flag_is_checked(qgrid):
@@ -103,7 +126,7 @@ def test_window_probability_needs_band_energy(qgrid):
 
 def test_window_probability_above_its_bound_raises(qgrid, monkeypatch):
     # a negative grid slack pushes the bound below any attainable ratio
-    monkeypatch.setattr(subgap.quantum, "eps_grid", lambda *args: -1.0)
+    monkeypatch.setattr(subgap.projections, "eps_grid", lambda *args: -1.0)
     windows = PhaseSpaceWindows(Interval(0.0, 0.5), P_BAND)
     with pytest.raises(BoundViolationError):
         landau_pollak_ratio(_state(qgrid), windows)
@@ -190,6 +213,41 @@ def test_recover_state_refuses_at_the_limit(qgrid):
     psi = _state(qgrid)
     with pytest.raises(RefusalError):
         recover_state(psi, windows)
+
+
+def test_recover_state_raises_when_the_series_is_cut_short(qgrid):
+    windows = PhaseSpaceWindows(Interval(0.0, 0.5), P_BAND)
+    smooth = momentum_smooth(gate_state(_state(qgrid), windows), windows)
+    with pytest.raises(NonConvergenceError):
+        recover_state(smooth, windows, k_max=2)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_recover_state_matches_the_conjugate_direct_solve(qgrid, m):
+    # independent oracle: the in-band direct solve of the signal side,
+    # applied to conj psi_M and conjugated back
+    rng = np.random.default_rng(100 + m)
+    p_band = Interval(0.0, m * qgrid.dual.dw)
+    freqs = qgrid.dual.frequencies
+    tol = 1e-8
+    for xp in np.linspace(0.1, 0.95, 6):
+        x = xp / p_band.width
+        centre = rng.uniform(qgrid.t_start + x, qgrid.t_end - x)
+        windows = PhaseSpaceWindows(Interval(centre, x), p_band)
+        coef = np.zeros(qgrid.n, dtype=complex)
+        keep = p_band.mask(freqs)
+        coef[keep] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        psi = position_wave(Spectrum(qgrid.dual, coef))
+        psi = WaveFunction(qgrid, psi.values / wf_norm(psi), normalized=True)
+        smooth = momentum_smooth(gate_state(psi, windows), windows)
+        rec = recover_state(smooth, windows, tol=tol)
+        direct = recover_direct(
+            SampledSignal(qgrid, np.conj(smooth.values)), p_band, windows.x_window
+        )
+        oracle = np.conj(direct.values) / wf_norm(direct)
+        lam = invertibility_report(qgrid, p_band, windows.x_window).lambda0
+        diff = wf_norm(WaveFunction(qgrid, rec.values - oracle))
+        assert diff <= tol / (1.0 - np.sqrt(lam))
 
 
 def test_build_density_rank1_unit_trace(qgrid):

@@ -61,6 +61,18 @@ def test_noise_must_vanish_on_the_window(grid, band):
         ErasureModel(window=WINDOW, source_band=band, noise=bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_noise_must_be_finite(grid, band, bad):
+    # one bad sample at t = -32, far from the window, used to pass and
+    # turn the recovered signal into NaNs
+    vals = np.zeros(grid.n, dtype=complex)
+    vals[0] = bad
+    with pytest.raises(ValueError):
+        ErasureModel(
+            window=WINDOW, source_band=band, noise=SampledSignal(grid, vals)
+        )
+
+
 def test_invertibility_report(grid, band):
     ok = invertibility_report(grid, band, WINDOW)
     assert ok.invertible and ok.wt == pytest.approx(0.5)
@@ -207,3 +219,45 @@ def test_direct_solve_is_linear_and_refusal_is_exact(w, t, place, seed):
     scale = abs(a) * np.linalg.norm(d1) + abs(b) * np.linalg.norm(d2)
     # a backward-stable solve is accurate to eps times cond = 1/(1 - lambda0)
     assert np.linalg.norm(mix.values - a * d1 - b * d2) <= 1e-12 / (1.0 - lam) * scale
+
+
+@given(
+    wt=st.floats(0.05, 1.2),
+    count=st.integers(4, 128),
+    first=st.integers(1, 1024 - 128),
+    moved=st.integers(1, 1024 - 128),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_neumann_solvers_are_linear_and_shift_covariant(wt, count, first, moved, seed):
+    grid = TimeGrid(-8.0, 1.0 / 64, 1024)
+    band = Interval(0.0, wt / (count * grid.dt))
+    shift = moved - first
+
+    def window(start):
+        # gates samples start .. start + count - 1; its edges lie midway
+        # between samples, so a shift by whole samples moves every bin
+        lo = grid.t_start + (start - 0.5) * grid.dt
+        return Interval(lo + 0.5 * count * grid.dt, count * grid.dt)
+
+    rng = np.random.default_rng(seed)
+    r1, r2 = (
+        rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+        for _ in range(2)
+    )
+    a, b = 0.6 - 1.3j, 2.1 + 0.4j
+    for solver in (recover_neumann, recover_band_neumann):
+        # tol = 0 runs exactly k_max steps, so every run is the same linear map
+        def run(values, start=first):
+            rec = solver(SampledSignal(grid, values), band, window(start), 0.0, 8)
+            return None if rec.refused else rec.recovered.values
+
+        d1, d2 = run(r1), run(r2)
+        if d1 is None:
+            assert run(np.roll(r1, shift), moved) is None
+            continue
+        mix = run(a * r1 + b * r2)
+        scale = abs(a) * np.linalg.norm(d1) + abs(b) * np.linalg.norm(d2)
+        assert np.linalg.norm(mix - a * d1 - b * d2) <= 1e-12 * scale
+        rolled = run(np.roll(r1, shift), moved)
+        moved_off = np.linalg.norm(rolled - np.roll(d1, shift))
+        assert moved_off <= 1e-12 * np.linalg.norm(d1)
