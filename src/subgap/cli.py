@@ -6,13 +6,17 @@ Three subcommands::
     subgap fig2 [--out DIR]
     subgap audit [--out DIR]
 
-``run`` executes the experiment named in a strictly validated JSON config;
-``fig2`` and ``audit`` are shortcuts for the two headline runs with their
-built-in default configs.  The output directory is resolved in order from
-``--out``, the config's ``outdir`` field, the ``SUBGAP_OUTDIR`` environment
-variable, and finally ``./out``.  Exit status is 0 only when every check
-in the run's report passed; config errors exit with status 2 and a
-diagnostic naming the offending field.
+``run`` executes the experiment named in a strictly validated JSON config,
+whose schema is built from ``experiments.SPECS``; ``fig2`` and ``audit``
+are shortcuts for the two headline runs with their built-in default
+configs.  The output directory is resolved in order from ``--out``, the
+config's ``outdir`` field, the ``SUBGAP_OUTDIR`` environment variable, and
+finally ``./out``.  Exit status is 0 when every check in the run's report
+passed and 1 when one failed.  A config error exits with status 2 and a
+diagnostic: the field the schema rejects, or the runner's ``ValueError``
+for a config that does not fit the grid (a band past Nyquist, a window
+outside the grid, a sampling period off its lattice, fewer tomography
+samples than M^2).
 """
 
 from __future__ import annotations
@@ -27,19 +31,17 @@ import jsonschema
 
 from .core import TimeGrid
 from .errors import ConfigError
-from .experiments import EXPERIMENTS, run_bounds_audit, run_fig2
+from .experiments import EXPERIMENTS, SPECS, run_bounds_audit, run_fig2
 
 __all__ = ["OUTDIR_ENV", "SCHEMAS", "validate_config", "resolve_outdir", "main"]
 
 OUTDIR_ENV = "SUBGAP_OUTDIR"
 
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-
 _GRID_SCHEMA = {
     "type": "object",
     "properties": {
         "start": {"type": "number"},
-        "step": _POSITIVE,
+        "step": {"type": "number", "exclusiveMinimum": 0},
         "n": {"type": "integer", "minimum": 2, "multipleOf": 2},
     },
     "required": ["start", "step", "n"],
@@ -52,90 +54,26 @@ _COMMON = {
     "grid": _GRID_SCHEMA,
 }
 
-
-def _schema(experiment: str, required, **props):
-    return {
+#: one strict schema per experiment kind, built from its spec; unknown keys
+#: are rejected
+SCHEMAS = {
+    kind: {
         "type": "object",
-        "properties": {"experiment": {"const": experiment}, **_COMMON, **props},
-        "required": ["experiment", *required],
+        "properties": {
+            "experiment": {"const": kind},
+            **_COMMON,
+            **{key: schema for key, (_, schema, _) in spec.items()},
+        },
+        "required": ["experiment", *(key for key, (*_, req) in spec.items() if req)],
         "additionalProperties": False,
     }
-
-
-#: one strict schema per experiment kind; unknown keys are rejected
-SCHEMAS = {
-    "fig2": _schema(
-        "fig2",
-        ["W", "T_DS", "T_SN"],
-        W=_POSITIVE,
-        T_DS={"type": "array", "items": _POSITIVE, "minItems": 1},
-        T_SN=_POSITIVE,
-        k_max={"type": "integer", "minimum": 0},
-    ),
-    "bounds_audit": _schema(
-        "bounds_audit",
-        ["pairs"],
-        pairs={
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "items": _POSITIVE,
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-    ),
-    "recovery": _schema(
-        "recovery",
-        ["W", "T_DS"],
-        W=_POSITIVE,
-        T_DS=_POSITIVE,
-        tol=_POSITIVE,
-    ),
-    "stability": _schema(
-        "stability",
-        ["W", "T_DS"],
-        W=_POSITIVE,
-        T_DS=_POSITIVE,
-        sigmas={
-            "type": "array",
-            "items": {"type": "number", "minimum": 0},
-            "minItems": 1,
-        },
-    ),
-    "sampling": _schema(
-        "sampling",
-        ["W", "T_SN"],
-        W=_POSITIVE,
-        T_SN=_POSITIVE,
-        k_max={"type": "integer", "minimum": 0},
-    ),
-    "quantum_pipeline": _schema(
-        "quantum_pipeline",
-        ["P", "X"],
-        P=_POSITIVE,
-        X=_POSITIVE,
-        n_x={"type": "integer", "minimum": 1},
-        n_t={"type": "integer", "minimum": 1},
-        t_max=_POSITIVE,
-    ),
+    for kind, spec in SPECS.items()
 }
 
-#: config key -> runner keyword, per experiment
-_KEYMAPS = {
-    "fig2": {"W": "w", "T_DS": "t_ds_values", "T_SN": "t_sn", "k_max": "k_max"},
-    "bounds_audit": {"pairs": "pairs"},
-    "recovery": {"W": "w", "T_DS": "t_ds", "tol": "tol"},
-    "stability": {"W": "w", "T_DS": "t_ds", "sigmas": "sigmas"},
-    "sampling": {"W": "w", "T_SN": "t_sn", "k_max": "k_max"},
-    "quantum_pipeline": {
-        "P": "p",
-        "X": "x",
-        "n_x": "n_x",
-        "n_t": "n_t",
-        "t_max": "t_max",
-    },
+#: built once: ``jsonschema.validate`` would re-check the schema per call
+_VALIDATORS = {
+    kind: jsonschema.validators.validator_for(schema)(schema)
+    for kind, schema in SCHEMAS.items()
 }
 
 
@@ -152,16 +90,13 @@ def validate_config(cfg):
         raise ConfigError(
             f"field `experiment` must be one of {sorted(SCHEMAS)}, got {kind!r}"
         )
-    try:
-        jsonschema.validate(cfg, SCHEMAS[kind])
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATORS[kind].iter_errors(cfg))
+    if exc is not None:
         loc = ".".join(str(p) for p in exc.absolute_path)
         if loc:
             raise ConfigError(f"field `{loc}`: {exc.message}") from exc
         raise ConfigError(exc.message) from exc
-    kwargs = {dst: cfg[src] for src, dst in _KEYMAPS[kind].items() if src in cfg}
-    if "pairs" in kwargs:
-        kwargs["pairs"] = [tuple(pair) for pair in kwargs["pairs"]]
+    kwargs = {kw: cfg[key] for key, (kw, *_) in SPECS[kind].items() if key in cfg}
     grid = None
     if "grid" in cfg:
         g = cfg["grid"]
@@ -239,7 +174,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             seed = args.seed
         outdir = resolve_outdir(args.out, cfg_out)
-        report = EXPERIMENTS[kind](outdir, seed=seed, grid=grid, **kwargs)
+        try:
+            report = EXPERIMENTS[kind](outdir, seed=seed, grid=grid, **kwargs)
+        except ValueError as exc:
+            print(f"error: invalid config: {exc}", file=sys.stderr)
+            return 2
     elif args.command == "fig2":
         outdir = resolve_outdir(args.out)
         report = run_fig2(outdir)

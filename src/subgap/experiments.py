@@ -14,6 +14,8 @@ All numerical content is deterministic given the config and seed; only the
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from pathlib import Path
 
@@ -83,6 +85,7 @@ from .sampling import (
 
 __all__ = [
     "EXPERIMENTS",
+    "SPECS",
     "DEFAULT_SWEEP",
     "default_quantum_grid",
     "run_fig2",
@@ -95,6 +98,20 @@ __all__ = [
 
 #: (W, T) pairs realizing WT in {0.1, 0.25, 0.5, 0.9} on the default grid
 DEFAULT_SWEEP = ((1.6, 1.0 / 16), (1.0, 0.25), (2.0, 0.25), (3.6, 0.25))
+
+#: experiment kind -> {config key: (runner keyword, JSON schema, required)};
+#: the CLI's schemas and key map and every report's config echo come from it
+SPECS = {}
+#: experiment kind -> runner
+EXPERIMENTS = {}
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+#: copy-sum orders: k_max = 0 would leave the decrease check vacuous
+_COPIES = {"type": "integer", "minimum": 1}
+
+
+def _array(items, **limits):
+    return {"type": "array", "items": items, "minItems": 1, **limits}
 
 
 def default_quantum_grid() -> TimeGrid:
@@ -113,28 +130,61 @@ def _check(checks, name, passed, value, threshold):
     )
 
 
-def _finish(outdir, experiment, config, checks, metrics, artifacts, t0):
-    report = {
-        "experiment": experiment,
-        "config": config,
-        "checks": checks,
-        "metrics": metrics,
-        "artifacts": sorted(Path(a).name for a in artifacts),
-        "passed": all(c["passed"] for c in checks),
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-    }
-    write_json(Path(outdir) / "report.json", report)
-    return report
+def _echo(schema, value):
+    """A parameter as the report echoes it: numbers as float, arrays by item."""
+    if schema.get("type") == "number":
+        return float(value)
+    if schema.get("type") == "array":
+        return [_echo(schema["items"], item) for item in value]
+    return value
 
 
-def _prepare(outdir):
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir, time.perf_counter()
+def _experiment(kind, grid_factory, **params):
+    """Register the decorated body as the runner of ``kind``.
 
+    ``params`` maps each config key to (runner keyword, JSON schema,
+    required) and is stored as ``SPECS[kind]``.  The runner binds its
+    call, creates ``outdir``, fills a missing ``grid`` from
+    ``grid_factory``, runs the body, which returns (checks, metrics,
+    artifacts), and writes and returns the report with the config echoed
+    from ``params``.
+    """
 
-def _grid_echo(grid: TimeGrid):
-    return {"start": grid.t_start, "step": grid.dt, "n": grid.n}
+    def register(body):
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def runner(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            a = bound.arguments
+            a["outdir"] = Path(a["outdir"])
+            a["outdir"].mkdir(parents=True, exist_ok=True)
+            t0 = time.perf_counter()
+            if a["grid"] is None:
+                a["grid"] = grid_factory()
+            checks, metrics, artifacts = body(**a)
+            grid = a["grid"]
+            config = {k: _echo(schema, a[kw]) for k, (kw, schema, _) in params.items()}
+            config.update(experiment=kind, seed=a["seed"])
+            config["grid"] = {"start": grid.t_start, "step": grid.dt, "n": grid.n}
+            report = {
+                "experiment": kind,
+                "config": config,
+                "checks": checks,
+                "metrics": metrics,
+                "artifacts": sorted(Path(f).name for f in artifacts),
+                "passed": all(c["passed"] for c in checks),
+                "wall_time_s": round(time.perf_counter() - t0, 3),
+            }
+            write_json(a["outdir"] / "report.json", report)
+            return report
+
+        SPECS[kind] = params
+        EXPERIMENTS[kind] = runner
+        return runner
+
+    return register
 
 
 def _sup(values) -> float:
@@ -156,6 +206,37 @@ def _gap_window(t_sn: float, t_ds: float, dt: float) -> Interval:
     return Interval(t_sn / 2.0, width)
 
 
+def _copy_errors(checks, r, s_hat, band, t_sn, t_ds, k_max):
+    """L2 band error of the copy-sum recovery of ``r`` for k = 0..k_max.
+
+    Checks that the error decreases strictly in k; returns the errors and
+    the k_max spectrum.
+    """
+    in_band = band.mask(s_hat.grid.frequencies)
+    errs = []
+    for k in range(k_max + 1):
+        cfg = SpectralCopyConfig(band=band, t_sn=t_sn, t_ds=t_ds, k_max=k)
+        spectrum = spectral_copy_recover(r, cfg).spectrum
+        diff = spectrum.values[in_band] - s_hat.values[in_band]
+        errs.append(float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(diff) ** 2))))
+    _check(
+        checks,
+        "copy_sum_error_decreases",
+        all(a > b for a, b in zip(errs, errs[1:])),
+        errs,
+        "L2 band error strictly decreasing in k_max",
+    )
+    return errs, spectrum
+
+
+@_experiment(
+    "fig2",
+    default_grid,
+    W=("w", _POSITIVE, True),
+    T_DS=("t_ds_values", _array(_POSITIVE, uniqueItems=True), True),
+    T_SN=("t_sn", _POSITIVE, True),
+    k_max=("k_max", _COPIES, False),
+)
 def run_fig2(
     outdir,
     w: float = 2.0,
@@ -172,8 +253,6 @@ def run_fig2(
     spectrum, the band-restricted spectrum of each gapped signal (real and
     imaginary parts in adjacent columns), and the copy-sum reconstruction.
     """
-    outdir, t0 = _prepare(outdir)
-    grid = grid if grid is not None else default_grid()
     band = Interval(0.0, w)
     s_w = band_project(make_demo_signal(grid), band)
     s_hat = forward_spectrum(s_w)
@@ -234,24 +313,8 @@ def run_fig2(
     )
 
     if copy_r is not None:
-        copy_errs = []
-        rec_spec = None
-        for k in range(k_max + 1):
-            cfg = SpectralCopyConfig(band=band, t_sn=t_sn, t_ds=copy_width, k_max=k)
-            result = spectral_copy_recover(copy_r, cfg)
-            diff = result.spectrum.values[in_band] - s_hat.values[in_band]
-            copy_errs.append(
-                float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(diff) ** 2)))
-            )
-            rec_spec = result.spectrum
-        metrics["copy_errors"] = copy_errs
-        _check(
-            checks,
-            "copy_sum_error_decreases",
-            copy_errs[-1] < copy_errs[0]
-            and all(a > b for a, b in zip(copy_errs, copy_errs[1:])),
-            copy_errs,
-            "L2 band error strictly decreasing in k_max",
+        metrics["copy_errors"], rec_spec = _copy_errors(
+            checks, copy_r, s_hat, band, t_sn, copy_width, k_max
         )
         columns += complex_columns(f"recovered_k{k_max}", rec_spec.values)
         series.append((f"copy sum, k_max={k_max}", None, rec_spec.values.real))
@@ -270,18 +333,14 @@ def run_fig2(
             title="band restriction of gapped data",
         ),
     ]
-    config = {
-        "experiment": "fig2",
-        "W": w,
-        "T_DS": list(t_ds_values),
-        "T_SN": t_sn,
-        "k_max": k_max,
-        "seed": seed,
-        "grid": _grid_echo(grid),
-    }
-    return _finish(outdir, "fig2", config, checks, metrics, artifacts, t0)
+    return checks, metrics, artifacts
 
 
+@_experiment(
+    "bounds_audit",
+    default_grid,
+    pairs=("pairs", _array(_array(_POSITIVE, minItems=2, maxItems=2)), True),
+)
 def run_bounds_audit(
     outdir,
     pairs=DEFAULT_SWEEP,
@@ -295,8 +354,6 @@ def run_bounds_audit(
     matrix's trace against WT, the concentration ratio of the demo signal,
     and the band-spill floor of its gated copy.
     """
-    outdir, t0 = _prepare(outdir)
-    grid = grid if grid is not None else default_grid()
     checks = []
     rows = []
     traces = {}
@@ -346,17 +403,16 @@ def run_bounds_audit(
             rows,
         )
     ]
-    config = {
-        "experiment": "bounds_audit",
-        "pairs": [[float(w), float(t)] for w, t in pairs],
-        "seed": seed,
-        "grid": _grid_echo(grid),
-    }
-    return _finish(
-        outdir, "bounds_audit", config, checks, {"traces": traces}, artifacts, t0
-    )
+    return checks, {"traces": traces}, artifacts
 
 
+@_experiment(
+    "recovery",
+    default_grid,
+    W=("w", _POSITIVE, True),
+    T_DS=("t_ds", _POSITIVE, True),
+    tol=("tol", _POSITIVE, False),
+)
 def run_recovery(
     outdir,
     w: float = 2.0,
@@ -372,8 +428,6 @@ def run_recovery(
     At or past the limit every solver must refuse and produce no signal;
     the run then passes when the refusals are consistent with WT >= 1.
     """
-    outdir, t0 = _prepare(outdir)
-    grid = grid if grid is not None else default_grid()
     band = Interval(0.0, w)
     window = Interval(0.0, t_ds)
     s_w = band_project(make_demo_signal(grid), band)
@@ -387,7 +441,6 @@ def run_recovery(
         "lambda0": inv.lambda0,
         "invertible": inv.invertible,
     }
-    artifacts = []
     if rec.refused:
         direct_refused = False
         try:
@@ -408,15 +461,7 @@ def run_recovery(
             "all solvers refuse, no output signal, only when WT >= 1 "
             "or lambda0 is at 1",
         )
-        config = {
-            "experiment": "recovery",
-            "W": w,
-            "T_DS": t_ds,
-            "tol": tol,
-            "seed": seed,
-            "grid": _grid_echo(grid),
-        }
-        return _finish(outdir, "recovery", config, checks, metrics, artifacts, t0)
+        return checks, metrics, []
 
     direct = recover_direct(r, band, window)
     nrm = l2_norm(s_w)
@@ -478,17 +523,16 @@ def run_recovery(
             title="gap recovery",
         ),
     ]
-    config = {
-        "experiment": "recovery",
-        "W": w,
-        "T_DS": t_ds,
-        "tol": tol,
-        "seed": seed,
-        "grid": _grid_echo(grid),
-    }
-    return _finish(outdir, "recovery", config, checks, metrics, artifacts, t0)
+    return checks, metrics, artifacts
 
 
+@_experiment(
+    "stability",
+    default_grid,
+    W=("w", _POSITIVE, True),
+    T_DS=("t_ds", _POSITIVE, True),
+    sigmas=("sigmas", _array({"type": "number", "minimum": 0}), False),
+)
 def run_stability(
     outdir,
     w: float = 2.0,
@@ -503,19 +547,9 @@ def run_stability(
     the run passes when the refusal is consistent with WT >= 1 (or lambda0
     at 1).
     """
-    outdir, t0 = _prepare(outdir)
-    grid = grid if grid is not None else default_grid()
     band = Interval(0.0, w)
     window = Interval(0.0, t_ds)
     s_w = band_project(make_demo_signal(grid), band)
-    config = {
-        "experiment": "stability",
-        "W": w,
-        "T_DS": t_ds,
-        "sigmas": [float(s) for s in sigmas],
-        "seed": seed,
-        "grid": _grid_echo(grid),
-    }
     checks = []
     try:
         rows = noise_stability_sweep(s_w, band, window, sigmas, seed=seed)
@@ -529,7 +563,7 @@ def run_stability(
             "the sweep refuses only when WT >= 1 or lambda0 is at 1",
         )
         metrics = {"WT": inv.wt, "lambda0": inv.lambda0, "invertible": inv.invertible}
-        return _finish(outdir, "stability", config, checks, metrics, [], t0)
+        return checks, metrics, []
     for row in rows:
         _check(
             checks,
@@ -545,10 +579,16 @@ def run_stability(
             [(r.sigma, r.err, r.amplification, r.bound) for r in rows],
         )
     ]
-    metrics = {"bound": rows[0].bound if rows else None}
-    return _finish(outdir, "stability", config, checks, metrics, artifacts, t0)
+    return checks, {"bound": rows[0].bound if rows else None}, artifacts
 
 
+@_experiment(
+    "sampling",
+    default_grid,
+    W=("w", _POSITIVE, True),
+    T_SN=("t_sn", _POSITIVE, True),
+    k_max=("k_max", _COPIES, False),
+)
 def run_sampling(
     outdir,
     w: float = 2.0,
@@ -563,8 +603,6 @@ def run_sampling(
     period t_sn, the aliasing deviation of the periodized spectrum at
     period 1, and the copy-sum error decrease for the gapped signal.
     """
-    outdir, t0 = _prepare(outdir)
-    grid = grid if grid is not None else default_grid()
     band = Interval(0.0, w)
     s_w = band_project(make_demo_signal(grid), band)
     s_hat = forward_spectrum(s_w)
@@ -599,19 +637,7 @@ def run_sampling(
 
     window = _gap_window(t_sn, t_sn, grid.dt)
     r = erase(s_w, ErasureModel(window=window, source_band=band))
-    copy_errs = []
-    for k in range(k_max + 1):
-        cfg = SpectralCopyConfig(band=band, t_sn=t_sn, t_ds=window.width, k_max=k)
-        result = spectral_copy_recover(r, cfg)
-        diff = result.spectrum.values[in_band] - s_hat.values[in_band]
-        copy_errs.append(float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(diff) ** 2))))
-    _check(
-        checks,
-        "copy_sum_error_decreases",
-        all(a > b for a, b in zip(copy_errs, copy_errs[1:])),
-        copy_errs,
-        "L2 band error strictly decreasing in k_max",
-    )
+    copy_errs, _ = _copy_errors(checks, r, s_hat, band, t_sn, window.width, k_max)
 
     artifacts = [
         write_signal_csv(outdir / "interpolated.csv", recon),
@@ -634,20 +660,12 @@ def run_sampling(
             title="aliasing at the critical period",
         ),
     ]
-    config = {
-        "experiment": "sampling",
-        "W": w,
-        "T_SN": t_sn,
-        "k_max": k_max,
-        "seed": seed,
-        "grid": _grid_echo(grid),
-    }
     metrics = {
         "interior_error": interior_err,
         "aliasing_deviation": alias_dev,
         "copy_errors": copy_errs,
     }
-    return _finish(outdir, "sampling", config, checks, metrics, artifacts, t0)
+    return checks, metrics, artifacts
 
 
 def _pipeline_input(grid: TimeGrid, band: Interval) -> WaveFunction:
@@ -658,6 +676,15 @@ def _pipeline_input(grid: TimeGrid, band: Interval) -> WaveFunction:
     return WaveFunction(grid, limited.values / wf_norm(limited), normalized=True)
 
 
+@_experiment(
+    "quantum_pipeline",
+    default_quantum_grid,
+    P=("p", _POSITIVE, True),
+    X=("x", _POSITIVE, True),
+    n_x=("n_x", {"type": "integer", "minimum": 1}, False),
+    n_t=("n_t", {"type": "integer", "minimum": 1}, False),
+    t_max=("t_max", _POSITIVE, False),
+)
 def run_quantum_pipeline(
     outdir,
     p: float = 1.0,
@@ -665,7 +692,7 @@ def run_quantum_pipeline(
     n_x: int = 16,
     n_t: int = 16,
     t_max: float = 500.0,
-    seed: int = 7,
+    seed: int = 0,
     grid: TimeGrid | None = None,
 ):
     """Full state recovery: gate, smooth, evolve, fit, extract, invert.
@@ -678,25 +705,12 @@ def run_quantum_pipeline(
     the limit the inversion refuses and no artifacts are written; the run
     passes when the refusal is consistent with XP >= 1 (or lambda0 at 1).
     """
-    outdir, t0 = _prepare(outdir)
-    grid = grid if grid is not None else default_quantum_grid()
     windows = PhaseSpaceWindows(
         x_window=Interval(0.0, x), p_band=Interval(0.0, p)
     )
     psi_p = _pipeline_input(grid, windows.p_band)
-    config = {
-        "experiment": "quantum_pipeline",
-        "P": p,
-        "X": x,
-        "n_x": n_x,
-        "n_t": n_t,
-        "t_max": t_max,
-        "seed": seed,
-        "grid": _grid_echo(grid),
-    }
     checks = []
     metrics = {"XP": windows.xp}
-    artifacts = []
 
     ratio = landau_pollak_ratio(psi_p, windows)
     ratio_cap = min(
@@ -724,9 +738,7 @@ def run_quantum_pipeline(
             {"error": str(exc), "pairs": [repr(p_) for p_ in exc.pairs or []]},
             "design condition number below 1e10",
         )
-        return _finish(
-            outdir, "quantum_pipeline", config, checks, metrics, artifacts, t0
-        )
+        return checks, metrics, []
 
     fit_err = _sup(fit.rho.elements - rho_true.elements)
     evals = np.linalg.eigvalsh(fit.rho.elements)
@@ -770,9 +782,7 @@ def run_quantum_pipeline(
             {"XP": windows.xp, "reason": str(exc)},
             "state recovery refuses only when XP >= 1 or lambda0 is at 1",
         )
-        return _finish(
-            outdir, "quantum_pipeline", config, checks, metrics, artifacts, t0
-        )
+        return checks, metrics, []
     fid = fidelity(psi_rec, psi_p)
     metrics["pipeline_fidelity"] = fid
     _check(
@@ -807,16 +817,4 @@ def run_quantum_pipeline(
             title="state recovery through the coordinate gap",
         ),
     ]
-    return _finish(
-        outdir, "quantum_pipeline", config, checks, metrics, artifacts, t0
-    )
-
-
-EXPERIMENTS = {
-    "fig2": run_fig2,
-    "bounds_audit": run_bounds_audit,
-    "recovery": run_recovery,
-    "stability": run_stability,
-    "sampling": run_sampling,
-    "quantum_pipeline": run_quantum_pipeline,
-}
+    return checks, metrics, artifacts

@@ -1,12 +1,15 @@
 """Config validation and the subgap command line."""
 
+import inspect
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from subgap import ConfigError
-from subgap.cli import OUTDIR_ENV, main, resolve_outdir, validate_config
+from subgap import ConfigError, default_grid
+from subgap.cli import OUTDIR_ENV, SCHEMAS, main, resolve_outdir, validate_config
+from subgap.experiments import EXPERIMENTS, SPECS, default_quantum_grid
 
 MINIMAL = {
     "fig2": {"experiment": "fig2", "W": 2.0, "T_DS": [1.0, 0.25], "T_SN": 0.25},
@@ -25,6 +28,95 @@ def test_minimal_config_validates(kind):
     assert grid is None and seed == 0 and outdir is None
     if "W" in MINIMAL[kind]:
         assert kwargs["w"] == 2.0
+
+
+def _write_cfg(tmp_path, payload, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def _run_cfg(tmp_path, cfg):
+    return main(["run", str(_write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_every_schema_is_valid(kind):
+    schema = SCHEMAS[kind]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_spec_keywords_are_runner_parameters(kind):
+    assert set(SPECS) == set(EXPERIMENTS) == set(SCHEMAS)
+    params = inspect.signature(EXPERIMENTS[kind]).parameters
+    keywords = {kw for kw, _, _ in SPECS[kind].values()}
+    assert keywords | {"outdir", "grid", "seed"} == set(params)
+    assert params["seed"].default == 0
+
+
+def _int_literals(value):
+    """The JSON a user might write: integral floats without a decimal point."""
+    if isinstance(value, dict):
+        return {k: _int_literals(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_int_literals(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_report_echoes_every_spec_key(kind, tmp_path):
+    """Every spec key set from the runner's default, written as int literals
+    where integral, comes back in the report with numbers as floats."""
+    params = inspect.signature(EXPERIMENTS[kind]).parameters
+    grid = default_quantum_grid() if kind == "quantum_pipeline" else default_grid()
+    echo = {key: params[kw].default for key, (kw, _, _) in SPECS[kind].items()}
+    echo = json.loads(json.dumps(echo))
+    echo.update(experiment=kind, seed=3)
+    echo["grid"] = {"start": grid.t_start, "step": grid.dt, "n": grid.n}
+    cfg = dict(_int_literals(echo), outdir=str(tmp_path / "out"))
+    assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    # json.dumps tells 2 from 2.0, so this also checks the float echo
+    assert json.dumps(report["config"], sort_keys=True) == json.dumps(
+        echo, sort_keys=True
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg,field",
+    [
+        (dict(MINIMAL["fig2"], k_max=0), "k_max"),
+        (dict(MINIMAL["sampling"], k_max=0), "k_max"),
+        (dict(MINIMAL["fig2"], T_DS=[0.25, 0.25]), "T_DS"),
+    ],
+)
+def test_degenerate_config_is_rejected(tmp_path, capsys, cfg, field):
+    with pytest.raises(ConfigError, match=f"`{field}`"):
+        validate_config(cfg)
+    assert _run_cfg(tmp_path, cfg) == 2
+    assert f"`{field}`" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg,message",
+    [
+        (dict(MINIMAL["recovery"], W=200.0), "Nyquist"),
+        (dict(MINIMAL["recovery"], T_DS=100.0), "outside the grid"),
+        (dict(MINIMAL["quantum_pipeline"], P=20.0), "Nyquist"),
+        (
+            dict(MINIMAL["quantum_pipeline"], P=2.0, X=0.25, n_x=20, n_t=12),
+            "M^2 = 256",
+        ),
+        (dict(MINIMAL["sampling"], T_SN=0.3), "multiple"),
+    ],
+)
+def test_config_that_does_not_fit_the_grid_exits_2(tmp_path, capsys, cfg, message):
+    assert _run_cfg(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config:") and message in err
 
 
 def test_missing_field_is_named():
@@ -69,11 +161,6 @@ def test_outdir_precedence(monkeypatch, tmp_path):
     monkeypatch.delenv(OUTDIR_ENV)
     assert resolve_outdir(None, None) == Path("out")
 
-
-def _write_cfg(tmp_path, payload, name="cfg.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    return path
 
 def test_run_reports_and_exits_zero(tmp_path):
     cfg = _write_cfg(tmp_path, dict(MINIMAL["quantum_pipeline"], seed=7))
