@@ -16,7 +16,7 @@ passed and 1 when one failed.  A config error exits with status 2 and a
 diagnostic: the field the schema rejects, or the runner's ``ValueError``
 for a config that does not fit the grid (a band past Nyquist, a window
 outside the grid, a sampling period off its lattice, fewer tomography
-samples than M^2).
+samples than M^2) or, in ``fig2``, a ``T_DS`` list without ``T_SN``.
 """
 
 from __future__ import annotations

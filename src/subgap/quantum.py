@@ -90,6 +90,10 @@ RANK1_TOL = 1e-6
 #: design condition number above which tomography refuses
 DESIGN_COND_LIMIT = 1e10
 
+#: design condition number up to which tomography solves its normal
+#: equations; past it, and always when refusing, it solves by SVD
+GRAM_COND_LIMIT = 1e6
+
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction(SampledSignal):
@@ -200,7 +204,9 @@ class TomographyResult:
 
     ``populations_resolved`` is False when the off-diagonals were too small
     to pin individual populations (only their sum is then meaningful);
-    ``psd_projected`` reports that the positivity guard fired.
+    ``psd_projected`` reports that the positivity guard fired.  ``solver``
+    names the path that fitted the design: ``"gram"`` (refined normal
+    equations) or ``"svd"``.
     """
 
     rho: DensityMatrix
@@ -208,6 +214,7 @@ class TomographyResult:
     residual: float
     populations_resolved: bool
     psd_projected: bool
+    solver: str
 
 
 def _conj(obj, kind=SampledSignal):
@@ -355,22 +362,23 @@ def evolve_diagonal_series(rho: DensityMatrix, x_points, t_points) -> EvolutionS
 
     rho(x, t) = dp * sum_jk exp(2 pi i (p_j - p_k) x) exp(-i (w_j - w_k) t)
     rho_jk, real by Hermiticity; the x points need not lie on any grid.
+    With B[t, x, j] = exp(-i w_j t) exp(2 pi i p_j x), each reading is
+    dp * (B rho B^H)[t, x], one batched product over every (t, x).
     """
     x = np.asarray(x_points, dtype=float)
     t = np.asarray(t_points, dtype=float)
-    om = rho.omegas
-    dp = rho.bin_weight
-    phases = np.exp(2j * np.pi * np.outer(x, rho.p_grid))
-    rows = np.empty((t.size, x.size))
-    for i, ti in enumerate(t):
-        u = np.exp(-1j * om * ti)
-        rho_t = (u[:, None] * rho.elements) * u.conj()[None, :]
-        vals = np.einsum("xj,jk,xk->x", phases, rho_t, phases.conj())
-        imag = np.max(np.abs(vals.imag))
-        if not imag <= 1e-10 * max(1.0, np.max(np.abs(vals.real))):
-            raise BoundViolationError(f"density has imaginary part {imag:.3e} at t={ti}")
-        rows[i] = dp * vals.real
-    return EvolutionSamples(x_points=x, t_points=t, values=rows)
+    u = np.exp(-1j * np.outer(t, rho.omegas))
+    b = u[:, None, :] * np.exp(2j * np.pi * np.outer(x, rho.p_grid))[None, :, :]
+    vals = np.einsum("txj,txj->tx", b @ rho.elements, b.conj())
+    imag = np.max(np.abs(vals.imag), axis=1, initial=0.0)
+    scale = np.max(np.abs(vals.real), axis=1, initial=1.0)
+    bad = np.flatnonzero(~(imag <= 1e-10 * scale))
+    if bad.size:
+        i = bad[0]
+        raise BoundViolationError(
+            f"density has imaginary part {imag[i]:.3e} at t={t[i]}"
+        )
+    return EvolutionSamples(x_points=x, t_points=t, values=rho.bin_weight * vals.real)
 
 
 def _pair_indices(m: int):
@@ -396,9 +404,23 @@ def tomography_solve(
     too small to support that (e.g. a diagonal truth), the trace is spread
     uniformly and ``populations_resolved`` is set False.
 
-    Needs at least M^2 samples.  Refuses with the list of degenerate pairs
-    when the design's condition number exceeds 1e10 (an (x, t) sampling
-    that fails to separate two pairs).
+    The samples form a t-by-x grid, so each pair's phase factor separates,
+    exp(i phi) = U[t, a] V[x, a] with U = exp(-i t (w_j - w_k)) and
+    V = exp(2 pi i x (p_j - p_k)), and the design is never built on the
+    main path.  Its Gram matrix comes from the Hadamard products
+    (U^H U)∘(V^H V) and (U^T U)∘(V^T V); D^T y and the fitted values cost
+    O(n_t n_x P) for P pairs; the condition number is sqrt(lmax / lmin)
+    of the Gram matrix.  Up to ``GRAM_COND_LIMIT`` = 1e6 the fit solves
+    these normal equations and takes one step of iterative refinement
+    (the residual y - D sol, formed separably, is solved for a
+    correction), which brings it to the accuracy of the SVD solution.
+    Past 1e6, or when the Gram matrix is not positive definite, it builds
+    the dense design and solves by SVD (``np.linalg.lstsq``); ``solver``
+    names the path taken.
+
+    Needs at least M^2 samples.  Only the SVD path refuses: with the list
+    of degenerate pairs, when the design's condition number exceeds 1e10
+    (an (x, t) sampling that fails to separate two pairs).
     """
     p = np.asarray(p_grid, dtype=float)
     m = p.size
@@ -410,38 +432,45 @@ def tomography_solve(
         raise ValueError("p_grid contains duplicate momenta")
     x = samples.x_points
     t = samples.t_points
-    y = samples.values.ravel()
+    y = samples.values
     pairs = _pair_indices(m)
     if y.size < m * m:
         raise ValueError(
             f"need at least M^2 = {m * m} samples to determine the matrix, got {y.size}"
         )
-    dpj = np.array([p[j] - p[k] for j, k in pairs])
-    dom = np.array([om[j] - om[k] for j, k in pairs])
-    # phase[i_t, i_x, i_pair], flattened in the same (t outer, x inner) order as y
-    phi = (
-        2.0 * np.pi * dpj[None, None, :] * x[None, :, None]
-        - dom[None, None, :] * t[:, None, None]
-    ).reshape(y.size, len(pairs))
-    design = np.empty((y.size, 1 + 2 * len(pairs)))
-    design[:, 0] = dp
-    design[:, 1::2] = 2.0 * dp * np.cos(phi)
-    design[:, 2::2] = -2.0 * dp * np.sin(phi)
-    sol, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
-    if cond > DESIGN_COND_LIMIT:
-        degenerate = _degenerate_pairs(phi, pairs)
-        raise DegenerateDesignError(
-            f"tomography design condition number {cond:.3e} exceeds "
-            f"{DESIGN_COND_LIMIT:.0e}; unseparated pairs: {degenerate}",
-            pairs=degenerate,
-        )
-    residual = float(np.linalg.norm(design @ sol - y))
+    j, k = np.triu_indices(m, 1)
+    dpj = p[j] - p[k]
+    dom = om[j] - om[k]
+    u = np.exp(-1j * np.outer(t, dom))
+    v = np.exp(2j * np.pi * np.outer(x, dpj))
+    gram = _separable_gram(u, v, dp)
+    lam = np.linalg.eigvalsh(gram)
+    cond = float(np.sqrt(lam[-1] / lam[0])) if lam[0] > 0.0 else float("inf")
+    if cond <= GRAM_COND_LIMIT:
+        solver = "gram"
+        sol = np.linalg.solve(gram, _separable_rhs(u, v, y, dp))
+        r = y - _separable_fit(u, v, sol, dp)
+        sol += np.linalg.solve(gram, _separable_rhs(u, v, r, dp))
+        residual = float(np.linalg.norm(y - _separable_fit(u, v, sol, dp)))
+    else:
+        # the dense design is ~2.3x the Gram matrix: never hold both
+        del gram
+        solver = "svd"
+        design = _dense_design(x, t, dpj, dom, dp)
+        sol, _, _, sv = np.linalg.lstsq(design, y.ravel(), rcond=None)
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+        if cond > DESIGN_COND_LIMIT:
+            degenerate = _degenerate_pairs(u, v, pairs)
+            raise DegenerateDesignError(
+                f"tomography design condition number {cond:.3e} exceeds "
+                f"{DESIGN_COND_LIMIT:.0e}; unseparated pairs: {degenerate}",
+                pairs=degenerate,
+            )
+        residual = float(np.linalg.norm(design @ sol - y.ravel()))
     trace = float(sol[0])
     off = np.zeros((m, m), dtype=complex)
-    for i, (j, k) in enumerate(pairs):
-        off[j, k] = sol[1 + 2 * i] + 1j * sol[2 + 2 * i]
-        off[k, j] = off[j, k].conjugate()
+    off[j, k] = sol[1::2] + 1j * sol[2::2]
+    off += off.conj().T
     diag, resolved = _complete_populations(off, trace, m, pairs)
     rho_fit = off + np.diag(diag)
     evals, evecs = np.linalg.eigh(rho_fit)
@@ -460,24 +489,89 @@ def tomography_solve(
         residual=residual,
         populations_resolved=resolved,
         psd_projected=psd_projected,
+        solver=solver,
     )
 
 
-def _degenerate_pairs(phi: np.ndarray, pairs):
-    """Pairs whose sampled phase factors are nearly parallel (or constant)."""
-    z = np.exp(1j * phi)
-    ns = z.shape[0]
-    bad = []
-    for a in range(len(pairs)):
-        # a pair indistinguishable from the trace column
-        if abs(z[:, a].sum()) / ns > 1.0 - 1e-6:
-            bad.append((pairs[a], "trace"))
-    gram = np.abs(z.conj().T @ z) / ns
-    for a in range(len(pairs)):
-        for b_ in range(a + 1, len(pairs)):
-            if gram[a, b_] > 1.0 - 1e-6:
-                bad.append((pairs[a], pairs[b_]))
-    return bad
+def _separable_gram(u: np.ndarray, v: np.ndarray, dp: float) -> np.ndarray:
+    """D^T D of the tomography design from its factors U (t) and V (x).
+
+    The design is dp [1, 2 Re Z, -2 Im Z] with columns interleaved as
+    (trace, Re c_1, Im c_1, Re c_2, ...) and Z = U ⊙ V row by row.  With
+    H = Z^H Z = (U^H U)∘(V^H V) and K = Z^T Z = (U^T U)∘(V^T V), the
+    cos-cos, sin-sin and cos-sin blocks are 2 dp^2 times Re(H + K),
+    Re(H - K) and -Im(H + K); the trace row holds the column sums of Z.
+    """
+    g = np.empty((1 + 2 * u.shape[1],) * 2)
+    cc, ss, cs = g[1::2, 1::2], g[2::2, 2::2], g[1::2, 2::2]
+    h = u.conj().T @ u
+    h *= v.conj().T @ v
+    np.copyto(cc, h.real)
+    np.copyto(ss, h.real)
+    np.negative(h.imag, out=cs)
+    del h
+    k = u.T @ u
+    k *= v.T @ v
+    cc += k.real
+    ss -= k.real
+    cs -= k.imag
+    del k
+    g[2::2, 1::2] = cs.T
+    zsum = u.sum(axis=0) * v.sum(axis=0)
+    g[0, 0] = 0.5 * u.shape[0] * v.shape[0]
+    g[0, 1::2] = g[1::2, 0] = zsum.real
+    g[0, 2::2] = g[2::2, 0] = -zsum.imag
+    g *= 2.0 * dp * dp
+    return g
+
+
+def _separable_rhs(u: np.ndarray, v: np.ndarray, y: np.ndarray, dp: float) -> np.ndarray:
+    """D^T y for readings y of shape (t, x): dp [sum y, 2 Re Z^T y, -2 Im Z^T y]."""
+    w = np.einsum("ta,ta->a", u, y @ v)
+    rhs = np.empty(1 + 2 * w.size)
+    rhs[0] = y.sum()
+    rhs[1::2] = 2.0 * w.real
+    rhs[2::2] = -2.0 * w.imag
+    return dp * rhs
+
+
+def _separable_fit(u: np.ndarray, v: np.ndarray, sol: np.ndarray, dp: float) -> np.ndarray:
+    """D sol as a (t, x) array: dp sol_0 + 2 dp Re(U diag(c) V^T)."""
+    c = sol[1::2] + 1j * sol[2::2]
+    return dp * (sol[0] + 2.0 * ((u * c) @ v.T).real)
+
+
+def _dense_design(x, t, dpj, dom, dp: float) -> np.ndarray:
+    """The samples-by-columns design, rows in (t outer, x inner) order.
+
+    Each phase is written into its cosine slot and overwritten in place,
+    so the design is the only array of its size.
+    """
+    design = np.empty((t.size, x.size, 1 + 2 * dpj.size))
+    cos, sin = design[:, :, 1::2], design[:, :, 2::2]
+    np.subtract(2.0 * np.pi * dpj * x[:, None], dom * t[:, None, None], out=cos)
+    np.sin(cos, out=sin)
+    np.cos(cos, out=cos)
+    sin *= -2.0 * dp
+    cos *= 2.0 * dp
+    design[:, :, 0] = dp
+    return design.reshape(t.size * x.size, -1)
+
+
+def _degenerate_pairs(u: np.ndarray, v: np.ndarray, pairs):
+    """Pairs whose sampled phase factors are nearly parallel (or constant).
+
+    The overlaps |Z^H Z| / N come from the factors as |(U^H U)∘(V^H V)| / N
+    and the trace overlaps |Z^T 1| / N as |U.sum(0) V.sum(0)| / N.
+    """
+    n = u.shape[0] * v.shape[0]
+    near = 1.0 - 1e-6
+    trace = np.abs(u.sum(axis=0) * v.sum(axis=0)) / n > near
+    overlap = np.abs((u.conj().T @ u) * (v.conj().T @ v)) / n > near
+    a, b = np.nonzero(np.triu(overlap, 1))
+    return [(pairs[i], "trace") for i in np.flatnonzero(trace)] + [
+        (pairs[i], pairs[j]) for i, j in zip(a, b)
+    ]
 
 
 def _complete_populations(off: np.ndarray, trace: float, m: int, pairs):

@@ -91,6 +91,7 @@ def test_report_echoes_every_spec_key(kind, tmp_path):
         (dict(MINIMAL["fig2"], k_max=0), "k_max"),
         (dict(MINIMAL["sampling"], k_max=0), "k_max"),
         (dict(MINIMAL["fig2"], T_DS=[0.25, 0.25]), "T_DS"),
+        (dict(MINIMAL["stability"], sigmas=[0.0, 0.001]), "sigmas.0"),
     ],
 )
 def test_degenerate_config_is_rejected(tmp_path, capsys, cfg, field):
@@ -117,6 +118,16 @@ def test_config_that_does_not_fit_the_grid_exits_2(tmp_path, capsys, cfg, messag
     assert _run_cfg(tmp_path, cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config:") and message in err
+
+
+def test_fig2_without_the_copy_sum_case_exits_2(tmp_path, capsys):
+    # no T_DS equals T_SN: the copy-sum check would silently vanish
+    cfg = dict(MINIMAL["fig2"], T_DS=[1.0, 0.5])
+    validate_config(cfg)
+    assert _run_cfg(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: field `T_DS`")
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_missing_field_is_named():

@@ -1,9 +1,12 @@
 """Momentum-limited states: gating, smoothing, tomography, recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import subgap.projections
+from subgap.quantum import DESIGN_COND_LIMIT, GRAM_COND_LIMIT
 from subgap import (
     BoundViolationError,
     DegenerateDesignError,
@@ -380,3 +383,148 @@ def test_fidelity_is_phase_free(qgrid):
     psi = _state(qgrid)
     turned = WaveFunction(qgrid, np.exp(0.7j) * psi.values, normalized=True)
     assert fidelity(psi, turned) == pytest.approx(1.0, abs=1e-12)
+
+
+def _band_p_grid(qgrid, m):
+    freqs = qgrid.dual.frequencies
+    return freqs[Interval(0.0, m * qgrid.dual.dw).mask(freqs)]
+
+
+def _dense_design(samples, p_grid):
+    """The samples-by-columns design written out entry by entry."""
+    om = p_grid**2 / 2.0
+    dp = float(np.min(np.diff(p_grid)))
+    pairs = [(j, k) for j in range(p_grid.size) for k in range(j + 1, p_grid.size)]
+    j, k = np.array(pairs).T
+    rows = []
+    for t in samples.t_points:
+        for x in samples.x_points:
+            phi = 2.0 * np.pi * (p_grid[j] - p_grid[k]) * x - (om[j] - om[k]) * t
+            row = np.empty(1 + 2 * len(pairs))
+            row[0] = dp
+            row[1::2] = 2.0 * dp * np.cos(phi)
+            row[2::2] = -2.0 * dp * np.sin(phi)
+            rows.append(row)
+    return np.array(rows), pairs
+
+
+def _lstsq_oracle(samples, p_grid):
+    """Dense SVD least squares: (trace, pair coefficients, condition number)."""
+    design, pairs = _dense_design(samples, p_grid)
+    sol, _, _, sv = np.linalg.lstsq(design, samples.values.ravel(), rcond=None)
+    return sol[0], sol[1::2] + 1j * sol[2::2], sv[0] / sv[-1]
+
+
+def _fitted_pairs(fit):
+    j, k = np.triu_indices(fit.rho.p_grid.size, 1)
+    return fit.rho.elements[j, k]
+
+
+def _assert_matches_lstsq(fit, samples, rel):
+    trace, coef, cond = _lstsq_oracle(samples, fit.rho.p_grid)
+    assert not fit.psd_projected
+    scale = np.max(np.abs(coef))
+    assert np.max(np.abs(_fitted_pairs(fit) - coef)) <= rel * scale
+    assert abs(fit.rho.trace - trace) <= rel * abs(trace)
+    return cond
+
+
+@pytest.mark.parametrize("m,seed", [(8, 50), (16, 51), (32, 52)])
+def test_gram_path_matches_lstsq(qgrid, m, seed):
+    p_grid = _band_p_grid(qgrid, m)
+    rho = _random_pure_density(qgrid, seed, p_grid=p_grid)
+    n = 3 * m // 2
+    xs, ts = _sample_points(qgrid, seed + 1000, n_x=n, n_t=n)
+    samples = evolve_diagonal_series(rho, xs, ts)
+    fit = tomography_solve(samples, p_grid, grid=qgrid)
+    assert fit.solver == "gram"
+    cond = _assert_matches_lstsq(fit, samples, 1e-10)
+    assert fit.condition_number == pytest.approx(cond, rel=1e-5)
+
+
+def test_gram_path_needs_its_refinement_step(qgrid):
+    # cond 4.5e5: the bare normal-equation solve misses lstsq by ~2e-7,
+    # one refinement step brings it back to ~1e-11
+    p_grid = _band_p_grid(qgrid, 16)
+    rho = _random_pure_density(qgrid, 320, p_grid=p_grid)
+    xs, ts = _sample_points(qgrid, 1320, n_x=24, n_t=24)
+    samples = evolve_diagonal_series(rho, xs, ts)
+    fit = tomography_solve(samples, p_grid, grid=qgrid)
+    assert fit.solver == "gram"
+    assert 1e5 <= fit.condition_number <= GRAM_COND_LIMIT
+    _assert_matches_lstsq(fit, samples, 1e-10)
+
+
+def test_ill_conditioned_design_takes_the_svd_path(qgrid):
+    # a short observation span barely separates pairs that share Delta p
+    rho = _random_pure_density(qgrid, 35)
+    xs, ts = _sample_points(qgrid, 36, t_max=40.0)
+    samples = evolve_diagonal_series(rho, xs, ts)
+    fit = tomography_solve(samples, rho.p_grid, grid=qgrid)
+    assert fit.solver == "svd"
+    assert GRAM_COND_LIMIT < fit.condition_number <= DESIGN_COND_LIMIT
+    _, _, cond = _lstsq_oracle(samples, rho.p_grid)
+    assert fit.condition_number == pytest.approx(cond, rel=1e-12)
+    assert np.max(np.abs(fit.rho.elements - rho.elements)) <= 1e-6
+
+
+def test_gram_path_never_holds_the_dense_design(qgrid):
+    m = 32
+    p_grid = _band_p_grid(qgrid, m)
+    rho = _random_pure_density(qgrid, 52, p_grid=p_grid)
+    xs, ts = _sample_points(qgrid, 1052, n_x=48, n_t=48)
+    samples = evolve_diagonal_series(rho, xs, ts)
+    design_bytes = samples.values.size * (1 + m * (m - 1)) * 8
+    tracemalloc.start()
+    try:
+        fit = tomography_solve(samples, p_grid, grid=qgrid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.solver == "gram"
+    assert peak < design_bytes
+
+
+def test_refusal_names_the_pairs_of_the_dense_overlap(qgrid):
+    # the oracle: overlaps of the explicit phase factors exp(i phi), N x P
+    rho = _random_pure_density(qgrid, 35)
+    xs, _ = _sample_points(qgrid, 36)
+    samples = evolve_diagonal_series(rho, xs, np.zeros(16))
+    with pytest.raises(DegenerateDesignError) as info:
+        tomography_solve(samples, rho.p_grid, grid=qgrid)
+    design, pairs = _dense_design(samples, rho.p_grid)
+    z = (design[:, 1::2] - 1j * design[:, 2::2]) / (2.0 * design[0, 0])
+    ns = z.shape[0]
+    gram = np.abs(z.conj().T @ z) / ns
+    want = [(pairs[a], "trace") for a in range(len(pairs))
+            if abs(z[:, a].sum()) / ns > 1.0 - 1e-6]
+    want += [(pairs[a], pairs[b]) for a in range(len(pairs))
+             for b in range(a + 1, len(pairs)) if gram[a, b] > 1.0 - 1e-6]
+    assert want and info.value.pairs == want
+
+
+def test_evolution_matches_the_explicit_double_sum(qgrid):
+    rho = _random_pure_density(qgrid, 42)
+    xs, ts = _sample_points(qgrid, 43, n_x=5, n_t=4, t_max=20.0)
+    got = evolve_diagonal_series(rho, xs, ts).values
+    p, om, dp = rho.p_grid, rho.omegas, rho.bin_weight
+    want = np.zeros((ts.size, xs.size))
+    for a, t in enumerate(ts):
+        for b, x in enumerate(xs):
+            total = 0.0
+            for j in range(p.size):
+                for k in range(p.size):
+                    phase = 2.0 * np.pi * (p[j] - p[k]) * x - (om[j] - om[k]) * t
+                    total += np.exp(1j * phase) * rho.elements[j, k]
+            want[a, b] = dp * total.real
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_evolution_names_the_first_non_hermitian_time(qgrid):
+    # a lone upper coupling is real at t = 0 and complex once it rotates
+    rho = _random_pure_density(qgrid, 44)
+    upper = np.zeros((rho.p_grid.size,) * 2, dtype=complex)
+    upper[0, 1] = 1.0
+    object.__setattr__(rho, "elements", upper)
+    with pytest.raises(BoundViolationError, match=r"at t=1\.0$"):
+        evolve_diagonal_series(rho, [0.0], [0.0, 1.0, 2.0])

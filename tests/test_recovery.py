@@ -9,9 +9,11 @@ from subgap import (
     ErasureModel,
     Interval,
     NotBandlimitedError,
+    PhaseSpaceWindows,
     RefusalError,
     SampledSignal,
     TimeGrid,
+    WaveFunction,
     band_project,
     erase,
     invertibility_report,
@@ -23,6 +25,7 @@ from subgap import (
     recover_band_neumann,
     recover_direct,
     recover_neumann,
+    recover_state,
     time_gate,
 )
 
@@ -161,6 +164,31 @@ def test_all_solvers_refuse_past_the_limit(grid, band, s_w):
         assert "WT" in rec.reason
     with pytest.raises(RefusalError):
         recover_direct(r, band, window)
+
+
+def test_lambda0_margin_refuses_below_wt_one():
+    # WT = 0.9894 < 1, yet M + K = 33 + 2 exceeds n = 34, so a bandlimited
+    # vector vanishes off the window and lambda0 is 1 (1.0000000000000002
+    # in floating point): every solver must refuse through lambda0 alone
+    grid = TimeGrid(-17.0, 1.0, 34)
+    band = Interval(0.0, 0.97)
+    window = Interval(-1.5, 1.02)
+    report = invertibility_report(grid, band, window)
+    assert report.wt_ok and not report.lambda0_ok and not report.invertible
+    rng = np.random.default_rng(9)
+    s = band_project(SampledSignal(grid, rng.standard_normal(grid.n)), band)
+    r = _erased(s, band, window)
+    for solver in (recover_neumann, recover_band_neumann):
+        rec = solver(r, band, window)
+        assert rec.refused and rec.recovered is None
+        assert "lambda0=1 (ok=False)" in rec.reason
+    with pytest.raises(RefusalError):
+        recover_direct(r, band, window)
+    with pytest.raises(RefusalError):
+        noise_stability_sweep(s, band, window, (1e-4,))
+    psi = WaveFunction(grid, np.conj(s.values))
+    with pytest.raises(RefusalError):
+        recover_state(psi, PhaseSpaceWindows(x_window=window, p_band=band))
 
 
 def test_iteration_budget_reported_honestly(band, s_w):
