@@ -47,7 +47,6 @@ from .projections import (
     eps_grid,
     operator_norm_sq,
     out_of_band_fraction,
-    prolate_eigenvalues,
     prolate_matrix,
 )
 from .quantum import (
@@ -367,8 +366,9 @@ def run_bounds_audit(
         wt = float(w) * float(t)
         eps = eps_grid(grid, band, window)
         lam = operator_norm_sq(grid, band, window)
-        dense = float(prolate_eigenvalues(grid, band, window)[0])
-        trace = float(np.real(np.trace(prolate_matrix(grid, band, window))))
+        b = prolate_matrix(grid, band, window)
+        dense = float(np.linalg.eigvalsh(b)[-1])
+        trace = float(np.real(np.trace(b)))
         s_w = band_project(make_demo_signal(grid), band)
         conc = concentration_ratio(s_w, band, window)
         spill = band_spill_ratio(s_w, band, window)

@@ -130,31 +130,54 @@ def concentration_ratio(s: SampledSignal, band: Interval, window: Interval) -> f
 
 
 def _gated_exponentials(grid: TimeGrid, band: Interval, window: Interval):
-    """E_jk = exp(2 pi i w_j t_k) over the M in-band bins and K gated samples.
+    """The exact-phase basis E_mk = exp(2 pi i ((m k) mod n) / n).
 
-    In the in-band spectral basis P_W P_T P_W is c * E E^H with
-    c = dt * dw, a matrix of rank at most min(M, K).  Returns (E, c).
+    Rows run over the M in-band bins m, taken in unshifted FFT order
+    (m = f mod n for the signed bin f, rows in ascending frequency), and
+    columns over the indices k of the K gated samples.  The phase is
+    reduced mod n in integers, so it is exact before the one rounding of
+    the exponential.  With q = n * ifft(r) on the in-band bins, P_W P_T P_W
+    is c * E E^H on in-band data and the window's samples of P_W x are
+    E^H (q + E h) / n, where h holds x on the window and x is r outside it;
+    c = dt * dw = 1/n.  The t_start phase ramps of the transform pair
+    cancel in both, so E carries none.  Returns (E, c, bins, gates).
     """
     _check_band(grid, band)
     _check_window(grid, window)
-    wb = grid.dual.frequencies[band.mask(grid.dual.frequencies)]
-    tb = grid.times[window.mask(grid.times)]
-    if wb.size == 0:
+    n = grid.n
+    bins = (np.flatnonzero(band.mask(grid.dual.frequencies)) - n // 2) % n
+    gates = np.flatnonzero(window.mask(grid.times))
+    if bins.size == 0:
         raise ValueError("band contains no frequency bins")
-    return np.exp(2j * np.pi * np.outer(wb, tb)), grid.dt * grid.dual.dw
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    e = roots[np.outer(bins, gates) % n]
+    return e, grid.dt * grid.dual.dw, bins, gates
+
+
+def _lambda0(e: np.ndarray, c: float) -> float:
+    """Top eigenvalue of c * E E^H from the smaller Gram matrix of E."""
+    if e.shape[1] == 0:
+        return 0.0
+    gram = e.conj().T @ e if e.shape[1] < e.shape[0] else e @ e.conj().T
+    return float(c * np.linalg.eigvalsh(gram)[-1])
 
 
 def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
     """The operator P_W P_T P_W restricted to the in-band spectral basis.
 
-    With w_j the M in-band bin frequencies and t_k the gated sample
-    instants, the matrix is B = dt * dw * E E^H, E_jk = exp(2 pi i w_j t_k).
-    B is Hermitian PSD with trace dt*dw*M*K ~ WT, and its largest
-    eigenvalue equals ||P_T P_W||^2.  The dense M x M oracle for
+    With w_j the M in-band bin frequencies (ascending) and t_k the gated
+    sample instants, the matrix is B = dt * dw * F F^H with
+    F_jk = exp(2 pi i w_j t_k).  F is built as the exact-phase basis E of
+    the solvers times the row phase exp(2 pi i mod(w_j t_start, 1)),
+    which the spectral basis of :func:`forward_spectrum` carries.  B is
+    Hermitian PSD with trace dt*dw*M*K ~ WT, and its largest eigenvalue
+    equals ||P_T P_W||^2.  The dense M x M oracle for
     :func:`operator_norm_sq` and the direct solve.
     """
-    e, c = _gated_exponentials(grid, band, window)
-    return c * (e @ e.conj().T)
+    e, c, _, _ = _gated_exponentials(grid, band, window)
+    wb = grid.dual.frequencies[band.mask(grid.dual.frequencies)]
+    f = np.exp(2j * np.pi * np.mod(wb * grid.t_start, 1.0))[:, None] * e
+    return c * (f @ f.conj().T)
 
 
 def prolate_eigenvalues(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
@@ -171,11 +194,8 @@ def operator_norm_sq(grid: TimeGrid, band: Interval, window: Interval) -> float:
     ||P_T P_W||^2 and satisfies 0 <= lambda0 <= min(1, WT + eps_grid);
     a window holding no sample gives 0.
     """
-    e, c = _gated_exponentials(grid, band, window)
-    if e.shape[1] == 0:
-        return 0.0
-    gram = e.conj().T @ e if e.shape[1] < e.shape[0] else e @ e.conj().T
-    return float(c * np.linalg.eigvalsh(gram)[-1])
+    e, c, _, _ = _gated_exponentials(grid, band, window)
+    return _lambda0(e, c)
 
 
 def band_spill_ratio(s_w: SampledSignal, band: Interval, window: Interval) -> float:

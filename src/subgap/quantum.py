@@ -189,6 +189,9 @@ class EvolutionSamples:
             raise ValueError(
                 f"values shape {v.shape} does not match (t, x) = ({t.size}, {x.size})"
             )
+        for name, arr in (("x_points", x), ("t_points", t), ("values", v)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if v.size and v.min() < -1e-10:
             raise ValueError(
                 f"probability readings must be >= -1e-10, got min {v.min():.3e}"

@@ -7,6 +7,14 @@ the bandlimited subspace and its inverse is the geometric operator series
 ||P_T P_W|| <= sqrt(WT).  This module provides the series solver, a
 variant that iterates entirely on bandlimited data, an in-band direct
 solve, and a noise-amplification sweep.
+
+Every term of the series after the first changes the signal only inside
+the window, so the solvers work in the exact-phase basis E of the M
+in-band bins and the K gated samples (``projections._gated_exponentials``).
+That basis is built once per solve and also gives lambda0 for the refusal
+check.  A series step is two M x K products, O(M K) work, which is less
+than one length-n FFT whenever WT < 1 (M K <= WT n + M + K); each solve
+makes one FFT of its input and at most one back.
 """
 
 from __future__ import annotations
@@ -16,24 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    Interval,
-    SampledSignal,
-    Spectrum,
-    TimeGrid,
-    forward_spectrum,
-    inverse_signal,
-    l2_norm,
-)
+from .core import Interval, SampledSignal, TimeGrid, l2_norm
 from .errors import GridMismatchError, NotBandlimitedError, RefusalError
 from .projections import (
     BANDLIMIT_TOL,
-    band_project,
-    complement_gate,
     _gated_exponentials,
-    operator_norm_sq,
+    _lambda0,
+    complement_gate,
     out_of_band_fraction,
-    time_gate,
 )
 
 __all__ = [
@@ -133,6 +131,17 @@ def erase(s_w: SampledSignal, model: ErasureModel) -> SampledSignal:
     return r
 
 
+def _report(band: Interval, window: Interval, e: np.ndarray, c: float) -> InvertibilityReport:
+    wt = band.width * window.width
+    lam = _lambda0(e, c)
+    wt_ok = wt < 1.0
+    lam_ok = lam <= 1.0 - LAMBDA_MARGIN
+    return InvertibilityReport(
+        lambda0=lam, wt=wt, wt_ok=wt_ok, lambda0_ok=lam_ok,
+        invertible=wt_ok and lam_ok,
+    )
+
+
 def invertibility_report(grid: TimeGrid, band: Interval, window: Interval) -> InvertibilityReport:
     """Check WT < 1 and lambda0 <= 1 - 1e-6, reported separately.
 
@@ -140,14 +149,8 @@ def invertibility_report(grid: TimeGrid, band: Interval, window: Interval) -> In
     waveform); the extra lambda0 margin guards discretization corner cases
     where WT < 1 but the discrete operator is near singular.
     """
-    wt = band.width * window.width
-    lam = operator_norm_sq(grid, band, window)
-    wt_ok = wt < 1.0
-    lam_ok = lam <= 1.0 - LAMBDA_MARGIN
-    return InvertibilityReport(
-        lambda0=lam, wt=wt, wt_ok=wt_ok, lambda0_ok=lam_ok,
-        invertible=wt_ok and lam_ok,
-    )
+    e, c, _, _ = _gated_exponentials(grid, band, window)
+    return _report(band, window, e, c)
 
 
 def _default_k_max(wt: float, tol: float) -> int:
@@ -171,8 +174,36 @@ def _refusal(report: InvertibilityReport) -> RecoveryReport:
     )
 
 
-def _neumann_loop(b: SampledSignal, apply_step, tol: float, k_max: int) -> RecoveryReport:
-    x = b
+def _prepared(r: SampledSignal, band: Interval, window: Interval):
+    """One build of E for both the refusal check and the solve.
+
+    Returns (report, E, bins, gates, q) with q = n * ifft(r) on the
+    in-band bins; q is None when the report refuses.
+    """
+    e, c, bins, gates = _gated_exponentials(r.grid, band, window)
+    report = _report(band, window, e, c)
+    q = np.fft.ifft(r.values)[bins] * r.grid.n if report.invertible else None
+    return report, e, bins, gates, q
+
+
+def _in_band_signal(grid: TimeGrid, bins: np.ndarray, u: np.ndarray) -> SampledSignal:
+    """The bandlimited signal fft(u on ``bins``) / n, for u in units of q."""
+    full = np.zeros(grid.n, dtype=complex)
+    full[bins] = u
+    return SampledSignal(grid, np.fft.fft(full) / grid.n)
+
+
+def _neumann_loop(e, q, n: int, measure, tol: float, k_max: int):
+    """Iterate h_i = E^H (q + E h_{i-1}) / n from h_0 = 0 on the window.
+
+    Each step is two M x K products and also forms u_i = q + E h_i, the
+    in-band coefficients of the band iterate.  ``measure(h, u, h_prev,
+    u_prev)`` returns the step's update norm and the new iterate's norm,
+    in any one unit.  Returns the report fields and the final (h, u).
+    """
+    eh = e.conj().T
+    h = np.zeros(e.shape[1], dtype=complex)
+    u = q
     rel_history = []
     abs_history = []
     converged = False
@@ -180,12 +211,13 @@ def _neumann_loop(b: SampledSignal, apply_step, tol: float, k_max: int) -> Recov
     iterations = 0
     for _ in range(k_max):
         iterations += 1
-        new = SampledSignal(b.grid, b.values + apply_step(x).values)
-        abs_up = l2_norm(SampledSignal(b.grid, new.values - x.values))
-        rel = abs_up / max(l2_norm(new), 1e-300)
+        h_new = (eh @ u) / n
+        u_new = q + e @ h_new
+        abs_up, nrm = measure(h_new, u_new, h, u)
+        h, u = h_new, u_new
+        rel = abs_up / max(nrm, 1e-300)
         rel_history.append(rel)
         abs_history.append(abs_up)
-        x = new
         if rel < tol:
             converged = True
             break
@@ -198,11 +230,12 @@ def _neumann_loop(b: SampledSignal, apply_step, tol: float, k_max: int) -> Recov
         a / b_ for a, b_ in zip(abs_history[1:], abs_history[:-1]) if b_ > 0.0
     ]
     contraction = max(ratios) if ratios else 0.0
-    return RecoveryReport(
-        recovered=x, iterations=iterations,
-        residual_history=np.asarray(rel_history), contraction_estimate=contraction,
-        refused=False, reason=reason, converged=converged,
+    fields = dict(
+        iterations=iterations, residual_history=np.asarray(rel_history),
+        contraction_estimate=contraction, refused=False, reason=reason,
+        converged=converged,
     )
+    return fields, h, u
 
 
 def recover_neumann(
@@ -217,16 +250,30 @@ def recover_neumann(
     The iterates converge to the unique bandlimited preimage at geometric
     rate ||P_T P_W|| <= sqrt(WT); with zero noise the final relative error
     is <= tol/(1 - sqrt(lambda0)).  Refuses (without iterating) when the
-    invertibility report fails.
+    invertibility report fails.  Each x_k equals r outside the window, so
+    the series runs on the window's K samples at O(M K) per step, after
+    one FFT of r.
     """
-    report = invertibility_report(r.grid, band, window)
+    report, e, _, gates, q = _prepared(r, band, window)
     if not report.invertible:
         return _refusal(report)
     if k_max is None:
         k_max = _default_k_max(report.wt, tol)
-    return _neumann_loop(
-        r, lambda x: time_gate(band_project(x, band), window), tol, k_max
-    )
+    r_t = r.values[gates]
+    outside = np.delete(r.values, gates)
+    out_sq = float(np.vdot(outside, outside).real)
+
+    def measure(h, u, h_prev, u_prev):
+        x_t = r_t + h
+        return (
+            float(np.linalg.norm(h - h_prev)),
+            math.sqrt(out_sq + float(np.vdot(x_t, x_t).real)),
+        )
+
+    fields, h, _ = _neumann_loop(e, q, r.grid.n, measure, tol, k_max)
+    x = r.values.copy()
+    x[gates] = r_t + h
+    return RecoveryReport(recovered=SampledSignal(r.grid, x), **fields)
 
 
 def recover_band_neumann(
@@ -242,28 +289,33 @@ def recover_band_neumann(
     every iterate is bandlimited and already free of the time gap; the
     zeroth iterate P_W r is itself a useful first-order approximation for
     small WT.  Converges to the same fixed point as :func:`recover_neumann`.
+    y_k = fft(u_k) / n for in-band coefficients u_k = q + E h_k, so each
+    step costs O(M K) and the update norm is ||u_k - u_{k-1}|| / sqrt(n)
+    by Parseval; one FFT pair per solve.
     """
-    report = invertibility_report(r.grid, band, window)
+    report, e, bins, _, q = _prepared(r, band, window)
     if not report.invertible:
         return _refusal(report)
     if k_max is None:
         k_max = _default_k_max(report.wt, tol)
-    return _neumann_loop(
-        band_project(r, band),
-        lambda y: band_project(time_gate(y, window), band),
-        tol,
-        k_max,
-    )
+
+    def measure(h, u, h_prev, u_prev):
+        return float(np.linalg.norm(u - u_prev)), float(np.linalg.norm(u))
+
+    fields, _, u = _neumann_loop(e, q, r.grid.n, measure, tol, k_max)
+    return RecoveryReport(recovered=_in_band_signal(r.grid, bins, u), **fields)
 
 
 def recover_direct(r: SampledSignal, band: Interval, window: Interval) -> SampledSignal:
     """Direct in-band solve of (1 - P_W P_T) s_hat = P_W r_hat.
 
-    Works in the in-band spectral basis, where the restricted operator is
-    I - B with B = c E E^H the in-band concentration matrix (M in-band
-    bins, K gated samples).  The solve runs in dimension min(M, K): for
-    K < M by the Woodbury identity
-    (I - c E E^H)^{-1} b = b + c E (I - c E^H E)^{-1} E^H b.  Since I - B
+    Works on the in-band coefficients u = n * ifft(s) of the solution,
+    where the restricted operator is I - B with B = c E E^H the in-band
+    concentration matrix (M in-band bins, K gated samples, E the
+    exact-phase basis, c = 1/n) and the right-hand side is q = n * ifft(r)
+    on the band.  The solve runs in dimension min(M, K): for K < M by the
+    Woodbury identity
+    (I - c E E^H)^{-1} q = q + c E (I - c E^H E)^{-1} E^H q.  Since I - B
     is Hermitian with B PSD, its condition number is at most
     1/(1 - lambda0), so at most 1e6 once the invertibility report passes.
     Cross-checks the series solvers to 1e-8.
@@ -274,26 +326,21 @@ def recover_direct(r: SampledSignal, band: Interval, window: Interval) -> Sample
         If the invertibility report fails or the in-band dimension M
         exceeds 4096.
     """
-    report = invertibility_report(r.grid, band, window)
+    report, e, bins, _, q = _prepared(r, band, window)
     if not report.invertible:
         raise RefusalError(
             f"refusing direct solve: WT={report.wt:.6g}, lambda0={report.lambda0:.6g}"
         )
-    e, c = _gated_exponentials(r.grid, band, window)
     m, k = e.shape
     if m > 4096:
         raise RefusalError(f"in-band dimension {m} exceeds 4096")
-    rhat = forward_spectrum(r)
-    keep = band.mask(rhat.grid.frequencies)
-    rhs = rhat.values[keep]
+    n = r.grid.n
     eh = e.conj().T
     if k < m:
-        sol = rhs + c * (e @ np.linalg.solve(np.eye(k) - c * (eh @ e), eh @ rhs))
+        u = q + e @ np.linalg.solve(np.eye(k) - (eh @ e) / n, (eh @ q) / n)
     else:
-        sol = np.linalg.solve(np.eye(m) - c * (e @ eh), rhs)
-    full = np.zeros(r.grid.n, dtype=complex)
-    full[keep] = sol
-    return inverse_signal(Spectrum(rhat.grid, full))
+        u = np.linalg.solve(np.eye(m) - (e @ eh) / n, q)
+    return _in_band_signal(r.grid, bins, u)
 
 
 def noise_stability_sweep(

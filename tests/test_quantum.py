@@ -11,6 +11,7 @@ from subgap import (
     BoundViolationError,
     DegenerateDesignError,
     DensityMatrix,
+    EvolutionSamples,
     Interval,
     NonConvergenceError,
     NotBandlimitedError,
@@ -292,6 +293,22 @@ def _random_pure_density(qgrid, seed, p_grid=None):
     c = rng.standard_normal(p_grid.size) + 1j * rng.standard_normal(p_grid.size)
     c = c / np.linalg.norm(c)
     return DensityMatrix(p_grid=p_grid, elements=np.outer(c, c.conj()), grid=qgrid)
+
+
+@pytest.mark.parametrize("field", ["x_points", "t_points", "values"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evolution_samples_reject_non_finite_readings(qgrid, field, bad):
+    # a NaN reading used to pass the >= -1e-10 check and fail later in eigh
+    rho = _random_pure_density(qgrid, 40)
+    good = evolve_diagonal_series(rho, np.linspace(-3.0, 3.0, 8), np.linspace(0.0, 50.0, 8))
+    parts = {
+        "x_points": good.x_points.copy(),
+        "t_points": good.t_points.copy(),
+        "values": good.values.copy(),
+    }
+    parts[field][1] = bad
+    with pytest.raises(ValueError, match=field):
+        EvolutionSamples(**parts)
 
 
 def _sample_points(qgrid, seed, n_x=16, n_t=16, t_max=500.0):

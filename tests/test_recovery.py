@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgap import (
@@ -15,6 +15,7 @@ from subgap import (
     TimeGrid,
     WaveFunction,
     band_project,
+    default_grid,
     erase,
     invertibility_report,
     l2_norm,
@@ -289,3 +290,136 @@ def test_neumann_solvers_are_linear_and_shift_covariant(wt, count, first, moved,
         rolled = run(np.roll(r1, shift), moved)
         moved_off = np.linalg.norm(rolled - np.roll(d1, shift))
         assert moved_off <= 1e-12 * np.linalg.norm(d1)
+
+
+def _fft_recursion(r, band, window, k_max, band_side):
+    """The series solvers as whole-grid FFT recursions, tol = 0.
+
+    x <- r + P_T P_W x from x = r, or y <- P_W r + P_W P_T y from
+    y = P_W r, with each step's relative update norm and the same halting
+    rule as the library: the reference the window-space loop must match.
+    """
+    if band_side:
+        b = band_project(r, band)
+
+        def step(y):
+            return band_project(time_gate(y, window), band)
+    else:
+        b = r
+
+        def step(x):
+            return time_gate(band_project(x, band), window)
+
+    x = b
+    rel, ups = [], []
+    for _ in range(k_max):
+        new = b.values + step(x).values
+        ups.append(np.linalg.norm(new - x.values))
+        rel.append(ups[-1] / np.linalg.norm(new))
+        x = SampledSignal(r.grid, new)
+        if len(ups) >= 2 and ups[-1] > ups[-2]:
+            break
+    ratios = [b_ / a_ for a_, b_ in zip(ups, ups[1:]) if a_ > 0.0]
+    return x.values, np.asarray(rel), max(ratios, default=0.0)
+
+
+@pytest.mark.parametrize("k_max", [1, 8])
+@pytest.mark.parametrize("data", ["erased", "raw"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        # M = 128 bins over K = 25 samples
+        (default_grid(), Interval(0.0, 2.0), Interval(-3.7, 0.4), False),
+        # an off-centre band: M = 16 bins over K = 192 samples
+        (default_grid(), Interval(0.6, 0.25), Interval(5.2, 3.0), False),
+        # a window that opens at the grid's first sample, on a grid whose
+        # t_start and dt are not dyadic
+        (TimeGrid(-10.3, 0.01, 2048), Interval(-0.4, 2.0), Interval(-10.15, 0.3), True),
+    ],
+    ids=["K<M", "K>=M", "first-sample"],
+)
+def test_series_solvers_follow_the_fft_recursion_step_for_step(case, data, k_max):
+    grid, band, window, opens_at_start = case
+    assert window.mask(grid.times)[0] == opens_at_start
+    rng = np.random.default_rng(17)
+    r = SampledSignal(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    if data == "erased":
+        r = _erased(band_project(r, band), band, window)
+    # the raw data are neither bandlimited nor zero on the window
+    for solver, band_side in ((recover_neumann, False), (recover_band_neumann, True)):
+        rec = solver(r, band, window, 0.0, k_max)
+        x, rel, contraction = _fft_recursion(r, band, window, k_max, band_side)
+        assert rec.iterations == rel.size == k_max
+        np.testing.assert_allclose(rec.residual_history, rel, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(rec.contraction_estimate, contraction, rtol=1e-13, atol=0.0)
+        assert np.linalg.norm(rec.recovered.values - x) <= 1e-13 * np.linalg.norm(x)
+
+
+@st.composite
+def _gap_problems(draw):
+    """A grid of n <= 256 samples, a band of M bins and a window of K
+    samples with WT = M K / n < 1, edges midway between bins and samples."""
+    n = 2 * draw(st.integers(4, 128))
+    grid = TimeGrid(draw(st.floats(-50.0, 50.0)), draw(st.floats(0.01, 1.0)), n)
+    m = draw(st.integers(1, n - 1))
+    k = draw(st.integers(1, (n - 1) // m))
+    first_bin = draw(st.integers(1, n - m))
+    first_sample = draw(st.integers(1, n - k))
+    dw = grid.dual.dw
+    band = Interval(grid.dual.frequencies[first_bin] + 0.5 * (m - 1) * dw, m * dw)
+    window = Interval(grid.times[first_sample] + 0.5 * (k - 1) * grid.dt, k * grid.dt)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = SampledSignal(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return r, band, window
+
+
+@settings(max_examples=60)
+@given(_gap_problems())
+def test_solvers_match_a_dense_oracle(problem):
+    r, band, window = problem
+    grid = r.grid
+    # P_W and P_T as n x n matrices, from the projectors on identity columns
+    eye = np.eye(grid.n)
+    pw = np.column_stack([band_project(SampledSignal(grid, e), band).values for e in eye])
+    pt = np.column_stack([time_gate(SampledSignal(grid, e), window).values for e in eye])
+    report = invertibility_report(grid, band, window)
+    runs = [solver(r, band, window, tol=1e-12) for solver in (recover_neumann, recover_band_neumann)]
+    assert [rec.refused for rec in runs] == [not report.invertible] * 2
+    if not report.invertible:
+        with pytest.raises(RefusalError):
+            recover_direct(r, band, window)
+        return
+    oracle = np.linalg.solve(np.eye(grid.n) - pw @ pt, pw @ r.values)
+    limit = 1e-10 / (1.0 - report.lambda0) * np.linalg.norm(oracle)
+    assert all(rec.converged for rec in runs)
+    series, band_series = (rec.recovered.values for rec in runs)
+    # the time-side iterate is r outside the window; its band part is s_W
+    assert np.linalg.norm(pw @ series - oracle) <= limit
+    assert np.linalg.norm(band_series - oracle) <= limit
+    assert np.linalg.norm(recover_direct(r, band, window).values - oracle) <= limit
+
+
+def test_series_steps_make_no_fft(band, s_w, monkeypatch):
+    # the series runs on the window's samples: a longer run adds no FFT
+    r = _erased(s_w, band)
+    calls = []
+    for name in ("fft", "ifft"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def count(run):
+        calls.clear()
+        out = run()
+        return len(calls), out
+
+    for solver in (recover_neumann, recover_band_neumann):
+        short, _ = count(lambda: solver(r, band, WINDOW, 0.0, 4))
+        long, rec = count(lambda: solver(r, band, WINDOW, 0.0, 40))
+        assert rec.iterations > 4
+        assert short == long <= 3
+    assert count(lambda: recover_direct(r, band, WINDOW))[0] <= 3
