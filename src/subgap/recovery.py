@@ -26,10 +26,13 @@ import numpy as np
 
 from .core import Interval, SampledSignal, TimeGrid, l2_norm
 from .errors import GridMismatchError, NotBandlimitedError, RefusalError
-from .projections import (
+# band_project is unused here but stays bound: perfbench's tracer smoke
+# test checks that wrapping reaches subgap.recovery.band_project
+from .projections import (  # noqa: F401
     BANDLIMIT_TOL,
     _gated_exponentials,
     _lambda0,
+    band_project,
     complement_gate,
     out_of_band_fraction,
 )
