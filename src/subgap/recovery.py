@@ -160,8 +160,6 @@ def _default_k_max(wt: float, tol: float) -> int:
     if wt <= 0.0:
         return 50
     rho = math.sqrt(min(wt, 1.0 - 1e-12))
-    if rho <= 0.0:
-        return 50
     return int(math.ceil(math.log(tol) / math.log(rho))) + 50
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subgap.projections
 from subgap.quantum import DESIGN_COND_LIMIT, GRAM_COND_LIMIT
@@ -226,32 +228,41 @@ def test_recover_state_raises_when_the_series_is_cut_short(qgrid):
         recover_state(smooth, windows, k_max=2)
 
 
-@pytest.mark.parametrize("m", [8, 16, 32])
-def test_recover_state_matches_the_conjugate_direct_solve(qgrid, m):
+@settings(max_examples=200)
+@given(
+    m=st.integers(2, 32),
+    xp=st.floats(0.05, 1.5),
+    place=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recover_state_matches_the_conjugate_direct_solve(qgrid, m, xp, place, seed):
     # independent oracle: the in-band direct solve of the signal side,
     # applied to conj psi_M and conjugated back
-    rng = np.random.default_rng(100 + m)
+    rng = np.random.default_rng(seed)
     p_band = Interval(0.0, m * qgrid.dual.dw)
-    freqs = qgrid.dual.frequencies
+    x = xp / p_band.width
+    lo, hi = qgrid.t_start + x / 2, qgrid.t_end - x / 2
+    windows = PhaseSpaceWindows(Interval(lo + place * (hi - lo), x), p_band)
+    coef = np.zeros(qgrid.n, dtype=complex)
+    coef[p_band.mask(qgrid.dual.frequencies)] = (
+        rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    )
+    psi = position_wave(Spectrum(qgrid.dual, coef))
+    psi = WaveFunction(qgrid, psi.values / wf_norm(psi), normalized=True)
+    smooth = momentum_smooth(gate_state(psi, windows), windows)
+    report = invertibility_report(qgrid, p_band, windows.x_window)
     tol = 1e-8
-    for xp in np.linspace(0.1, 0.95, 6):
-        x = xp / p_band.width
-        centre = rng.uniform(qgrid.t_start + x, qgrid.t_end - x)
-        windows = PhaseSpaceWindows(Interval(centre, x), p_band)
-        coef = np.zeros(qgrid.n, dtype=complex)
-        keep = p_band.mask(freqs)
-        coef[keep] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        psi = position_wave(Spectrum(qgrid.dual, coef))
-        psi = WaveFunction(qgrid, psi.values / wf_norm(psi), normalized=True)
-        smooth = momentum_smooth(gate_state(psi, windows), windows)
-        rec = recover_state(smooth, windows, tol=tol)
-        direct = recover_direct(
-            SampledSignal(qgrid, np.conj(smooth.values)), p_band, windows.x_window
-        )
-        oracle = np.conj(direct.values) / wf_norm(direct)
-        lam = invertibility_report(qgrid, p_band, windows.x_window).lambda0
-        diff = wf_norm(WaveFunction(qgrid, rec.values - oracle))
-        assert diff <= tol / (1.0 - np.sqrt(lam))
+    if not report.invertible:
+        with pytest.raises(RefusalError):
+            recover_state(smooth, windows, tol=tol)
+        return
+    rec = recover_state(smooth, windows, tol=tol)
+    direct = recover_direct(
+        SampledSignal(qgrid, np.conj(smooth.values)), p_band, windows.x_window
+    )
+    oracle = np.conj(direct.values) / wf_norm(direct)
+    diff = wf_norm(WaveFunction(qgrid, rec.values - oracle))
+    assert diff <= tol / (1.0 - np.sqrt(report.lambda0))
 
 
 def test_build_density_rank1_unit_trace(qgrid):
