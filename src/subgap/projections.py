@@ -10,6 +10,9 @@ grid, so bounds carry an explicit discretization slack ``eps_grid``.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
 from .core import Interval, SampledSignal, TimeGrid, l2_norm
@@ -141,6 +144,7 @@ def _gated_exponentials(grid: TimeGrid, band: Interval, window: Interval):
     E^H (q + E h) / n, where h holds x on the window and x is r outside it;
     c = dt * dw = 1/n.  The t_start phase ramps of the transform pair
     cancel in both, so E carries none.  Returns (E, c, bins, gates).
+    Uncached: callers read E from :func:`_concentration_operator`.
     """
     _check_band(grid, band)
     _check_window(grid, window)
@@ -154,12 +158,35 @@ def _gated_exponentials(grid: TimeGrid, band: Interval, window: Interval):
     return e, grid.dt * grid.dual.dw, bins, gates
 
 
-def _lambda0(e: np.ndarray, c: float) -> float:
-    """Top eigenvalue of c * E E^H from the smaller Gram matrix of E."""
-    if e.shape[1] == 0:
-        return 0.0
+@dataclass(frozen=True)
+class _ConcentrationOperator:
+    """P_W P_T P_W = c * E E^H with lambda0 and the Gram matrix it came from.
+
+    ``gram`` is E^H E when K < M, else E E^H.  Its arrays are read-only:
+    every caller on the same (grid, band, window) shares the record.
+    """
+
+    e: np.ndarray
+    c: float
+    bins: np.ndarray
+    gates: np.ndarray
+    lambda0: float
+    gram: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _concentration_operator(grid: TimeGrid, band: Interval, window: Interval):
+    """The one build of E and lambda0 per (grid, band, window).
+
+    One entry covers every repeat: a report and then its solves, three
+    solvers in a row, a noise sweep, operator_norm_sq then prolate_matrix.
+    """
+    e, c, bins, gates = _gated_exponentials(grid, band, window)
     gram = e.conj().T @ e if e.shape[1] < e.shape[0] else e @ e.conj().T
-    return float(c * np.linalg.eigvalsh(gram)[-1])
+    lam = float(c * np.linalg.eigvalsh(gram)[-1]) if e.shape[1] else 0.0
+    for a in (e, bins, gates, gram):
+        a.setflags(write=False)
+    return _ConcentrationOperator(e, c, bins, gates, lam, gram)
 
 
 def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
@@ -172,12 +199,12 @@ def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarr
     which the spectral basis of :func:`forward_spectrum` carries.  B is
     Hermitian PSD with trace dt*dw*M*K ~ WT, and its largest eigenvalue
     equals ||P_T P_W||^2.  The dense M x M oracle for
-    :func:`operator_norm_sq` and the direct solve.
+    :func:`operator_norm_sq` and the direct solve, on their shared E.
     """
-    e, c, _, _ = _gated_exponentials(grid, band, window)
+    op = _concentration_operator(grid, band, window)
     wb = grid.dual.frequencies[band.mask(grid.dual.frequencies)]
-    f = np.exp(2j * np.pi * np.mod(wb * grid.t_start, 1.0))[:, None] * e
-    return c * (f @ f.conj().T)
+    f = np.exp(2j * np.pi * np.mod(wb * grid.t_start, 1.0))[:, None] * op.e
+    return op.c * (f @ f.conj().T)
 
 
 def prolate_eigenvalues(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
@@ -192,10 +219,9 @@ def operator_norm_sq(grid: TimeGrid, band: Interval, window: Interval) -> float:
     the top eigenvalue of the smaller Gram matrix, of dimension min(M, K)
     (M in-band bins, K gated samples).  Equals the squared operator norm
     ||P_T P_W||^2 and satisfies 0 <= lambda0 <= min(1, WT + eps_grid);
-    a window holding no sample gives 0.
+    a window holding no sample gives 0.  Cached with the solvers' E.
     """
-    e, c, _, _ = _gated_exponentials(grid, band, window)
-    return _lambda0(e, c)
+    return _concentration_operator(grid, band, window).lambda0
 
 
 def band_spill_ratio(s_w: SampledSignal, band: Interval, window: Interval) -> float:

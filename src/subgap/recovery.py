@@ -11,10 +11,11 @@ solve, and a noise-amplification sweep.
 Every term of the series after the first changes the signal only inside
 the window, so the solvers work in the exact-phase basis E of the M
 in-band bins and the K gated samples (``projections._gated_exponentials``).
-That basis is built once per solve and also gives lambda0 for the refusal
-check.  A series step is two M x K products, O(M K) work, which is less
-than one length-n FFT whenever WT < 1 (M K <= WT n + M + K); each solve
-makes one FFT of its input and at most one back.
+That basis and lambda0 are built once per (grid, band, window) and shared
+by the refusal check and all three solvers.  A series step is two M x K
+products, O(M K) work, which is less than one length-n FFT whenever WT < 1
+(M K <= WT n + M + K); each solve makes one FFT of its input and at most
+one back.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .errors import GridMismatchError, NotBandlimitedError, RefusalError
 # test checks that wrapping reaches subgap.recovery.band_project
 from .projections import (  # noqa: F401
     BANDLIMIT_TOL,
-    _gated_exponentials,
-    _lambda0,
+    _concentration_operator,
     band_project,
     complement_gate,
     out_of_band_fraction,
@@ -134,9 +134,8 @@ def erase(s_w: SampledSignal, model: ErasureModel) -> SampledSignal:
     return r
 
 
-def _report(band: Interval, window: Interval, e: np.ndarray, c: float) -> InvertibilityReport:
+def _report(band: Interval, window: Interval, lam: float) -> InvertibilityReport:
     wt = band.width * window.width
-    lam = _lambda0(e, c)
     wt_ok = wt < 1.0
     lam_ok = lam <= 1.0 - LAMBDA_MARGIN
     return InvertibilityReport(
@@ -152,8 +151,7 @@ def invertibility_report(grid: TimeGrid, band: Interval, window: Interval) -> In
     waveform); the extra lambda0 margin guards discretization corner cases
     where WT < 1 but the discrete operator is near singular.
     """
-    e, c, _, _ = _gated_exponentials(grid, band, window)
-    return _report(band, window, e, c)
+    return _report(band, window, _concentration_operator(grid, band, window).lambda0)
 
 
 def _default_k_max(wt: float, tol: float) -> int:
@@ -176,15 +174,20 @@ def _refusal(report: InvertibilityReport) -> RecoveryReport:
 
 
 def _prepared(r: SampledSignal, band: Interval, window: Interval):
-    """One build of E for both the refusal check and the solve.
+    """The shared build of E for both the refusal check and the solve.
 
-    Returns (report, E, bins, gates, q) with q = n * ifft(r) on the
-    in-band bins; q is None when the report refuses.
+    Returns (report, op, q) with q = n * ifft(r) on the in-band bins; q is
+    None when the report refuses.
     """
-    e, c, bins, gates = _gated_exponentials(r.grid, band, window)
-    report = _report(band, window, e, c)
-    q = np.fft.ifft(r.values)[bins] * r.grid.n if report.invertible else None
-    return report, e, bins, gates, q
+    op = _concentration_operator(r.grid, band, window)
+    report = _report(band, window, op.lambda0)
+    q = np.fft.ifft(r.values)[op.bins] * r.grid.n if report.invertible else None
+    return report, op, q
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a complex vector: its own arithmetic, not its overhead."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _in_band_signal(grid: TimeGrid, bins: np.ndarray, u: np.ndarray) -> SampledSignal:
@@ -255,25 +258,25 @@ def recover_neumann(
     the series runs on the window's K samples at O(M K) per step, after
     one FFT of r.
     """
-    report, e, _, gates, q = _prepared(r, band, window)
+    report, op, q = _prepared(r, band, window)
     if not report.invertible:
         return _refusal(report)
     if k_max is None:
         k_max = _default_k_max(report.wt, tol)
-    r_t = r.values[gates]
-    outside = np.delete(r.values, gates)
+    r_t = r.values[op.gates]
+    outside = np.delete(r.values, op.gates)
     out_sq = float(np.vdot(outside, outside).real)
 
     def measure(h, u, h_prev, u_prev):
         x_t = r_t + h
         return (
-            float(np.linalg.norm(h - h_prev)),
+            _norm(h - h_prev),
             math.sqrt(out_sq + float(np.vdot(x_t, x_t).real)),
         )
 
-    fields, h, _ = _neumann_loop(e, q, r.grid.n, measure, tol, k_max)
+    fields, h, _ = _neumann_loop(op.e, q, r.grid.n, measure, tol, k_max)
     x = r.values.copy()
-    x[gates] = r_t + h
+    x[op.gates] = r_t + h
     return RecoveryReport(recovered=SampledSignal(r.grid, x), **fields)
 
 
@@ -294,17 +297,17 @@ def recover_band_neumann(
     step costs O(M K) and the update norm is ||u_k - u_{k-1}|| / sqrt(n)
     by Parseval; one FFT pair per solve.
     """
-    report, e, bins, _, q = _prepared(r, band, window)
+    report, op, q = _prepared(r, band, window)
     if not report.invertible:
         return _refusal(report)
     if k_max is None:
         k_max = _default_k_max(report.wt, tol)
 
     def measure(h, u, h_prev, u_prev):
-        return float(np.linalg.norm(u - u_prev)), float(np.linalg.norm(u))
+        return _norm(u - u_prev), _norm(u)
 
-    fields, _, u = _neumann_loop(e, q, r.grid.n, measure, tol, k_max)
-    return RecoveryReport(recovered=_in_band_signal(r.grid, bins, u), **fields)
+    fields, _, u = _neumann_loop(op.e, q, r.grid.n, measure, tol, k_max)
+    return RecoveryReport(recovered=_in_band_signal(r.grid, op.bins, u), **fields)
 
 
 def recover_direct(r: SampledSignal, band: Interval, window: Interval) -> SampledSignal:
@@ -316,7 +319,8 @@ def recover_direct(r: SampledSignal, band: Interval, window: Interval) -> Sample
     exact-phase basis, c = 1/n) and the right-hand side is q = n * ifft(r)
     on the band.  The solve runs in dimension min(M, K): for K < M by the
     Woodbury identity
-    (I - c E E^H)^{-1} q = q + c E (I - c E^H E)^{-1} E^H q.  Since I - B
+    (I - c E E^H)^{-1} q = q + c E (I - c E^H E)^{-1} E^H q, with the
+    min(M, K) Gram matrix that lambda0 came from.  Since I - B
     is Hermitian with B PSD, its condition number is at most
     1/(1 - lambda0), so at most 1e6 once the invertibility report passes.
     Cross-checks the series solvers to 1e-8.
@@ -327,21 +331,21 @@ def recover_direct(r: SampledSignal, band: Interval, window: Interval) -> Sample
         If the invertibility report fails or the in-band dimension M
         exceeds 4096.
     """
-    report, e, bins, _, q = _prepared(r, band, window)
+    report, op, q = _prepared(r, band, window)
     if not report.invertible:
         raise RefusalError(
             f"refusing direct solve: WT={report.wt:.6g}, lambda0={report.lambda0:.6g}"
         )
+    e = op.e
     m, k = e.shape
     if m > 4096:
         raise RefusalError(f"in-band dimension {m} exceeds 4096")
     n = r.grid.n
-    eh = e.conj().T
     if k < m:
-        u = q + e @ np.linalg.solve(np.eye(k) - (eh @ e) / n, (eh @ q) / n)
+        u = q + e @ np.linalg.solve(np.eye(k) - op.gram / n, (e.conj().T @ q) / n)
     else:
-        u = np.linalg.solve(np.eye(m) - (e @ eh) / n, q)
-    return _in_band_signal(r.grid, bins, u)
+        u = np.linalg.solve(np.eye(m) - op.gram / n, q)
+    return _in_band_signal(r.grid, op.bins, u)
 
 
 def noise_stability_sweep(

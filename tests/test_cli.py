@@ -238,15 +238,22 @@ def test_audit_subcommand_and_column_names(tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
-def test_runs_are_byte_identical(tmp_path):
-    cfg = _write_cfg(tmp_path, dict(MINIMAL["quantum_pipeline"], seed=7))
+@pytest.mark.parametrize("kind", ["quantum_pipeline", "recovery", "stability"])
+def test_runs_are_byte_identical(tmp_path, kind):
+    # the second run starts with the concentration operator of the first
+    # one's last (grid, band, window) still memoised
+    cfg = _write_cfg(tmp_path, dict(MINIMAL[kind], seed=7))
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert main(["run", str(cfg), "--out", str(out1)]) == 0
     assert main(["run", str(cfg), "--out", str(out2)]) == 0
-    names = sorted(p.name for p in out1.glob("*.csv"))
-    assert names, "expected CSV artifacts"
-    for name in names + ["tomography.json"]:
+    names = sorted(p.name for p in out1.iterdir() if p.name != "report.json")
+    assert any(name.endswith(".csv") for name in names), "expected CSV artifacts"
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    reports = [json.loads((out / "report.json").read_text()) for out in (out1, out2)]
+    for report in reports:
+        del report["wall_time_s"]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(
