@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SubgapError",
+    "GridMismatchError",
+    "NotBandlimitedError",
+    "RefusalError",
+    "NonConvergenceError",
+    "DegenerateDesignError",
+    "BoundViolationError",
+    "ConfigError",
+]
+
 
 class SubgapError(Exception):
     """Base class for all errors raised by this package."""

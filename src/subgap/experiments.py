@@ -129,6 +129,14 @@ def _check(checks, name, passed, value, threshold):
     )
 
 
+def _at_most(checks, name, value, limit):
+    _check(checks, name, value <= limit, value, limit)
+
+
+def _at_least(checks, name, value, limit):
+    _check(checks, name, value >= limit, value, limit)
+
+
 def _echo(schema, value):
     """A parameter as the report echoes it: numbers as float, arrays by item."""
     if schema.get("type") == "number":
@@ -308,13 +316,7 @@ def run_fig2(
     )
     t_min = min(t_ds_values)
     bound = 2.0 * w * t_min * (band_integral / w)
-    _check(
-        checks,
-        "first_order_sup_bound",
-        sup_errs[t_min] <= bound,
-        sup_errs[t_min],
-        bound,
-    )
+    _at_most(checks, "first_order_sup_bound", sup_errs[t_min], bound)
 
     metrics["copy_errors"], rec_spec = _copy_errors(
         checks, copy_r, s_hat, band, t_sn, copy_width, k_max
@@ -486,30 +488,16 @@ def run_recovery(
             "band_output_out_of_band": oob,
         }
     )
-    _check(checks, "recovery_exact", rel_err <= 1e-6, rel_err, 1e-6)
-    _check(checks, "series_matches_direct_solve", agree <= 1e-8, agree, 1e-8)
-    _check(
-        checks,
-        "band_variant_matches",
-        band_agree <= 1e-8,
-        band_agree,
-        1e-8,
-    )
-    contraction_cap = float(np.sqrt(inv.wt)) + 0.02
-    _check(
+    _at_most(checks, "recovery_exact", rel_err, 1e-6)
+    _at_most(checks, "series_matches_direct_solve", agree, 1e-8)
+    _at_most(checks, "band_variant_matches", band_agree, 1e-8)
+    _at_most(
         checks,
         "contraction_at_most_sqrt_wt",
-        rec.contraction_estimate <= contraction_cap,
         rec.contraction_estimate,
-        contraction_cap,
+        float(np.sqrt(inv.wt)) + 0.02,
     )
-    _check(
-        checks,
-        "band_variant_output_bandlimited",
-        oob <= 1e-12,
-        oob,
-        1e-12,
-    )
+    _at_most(checks, "band_variant_output_bandlimited", oob, 1e-12)
     artifacts = [
         write_csv(
             outdir / "recovery.csv",
@@ -570,10 +558,9 @@ def run_stability(
         metrics = {"WT": inv.wt, "lambda0": inv.lambda0, "invertible": inv.invertible}
         return checks, metrics, []
     for row in rows:
-        _check(
+        _at_most(
             checks,
             f"amplification_bounded_sigma={row.sigma:g}",
-            row.amplification <= row.bound,
             row.amplification,
             row.bound,
         )
@@ -621,24 +608,12 @@ def run_sampling(
     interior_err = _sup(recon.values[interior] - s_w.values[interior]) / _sup(
         s_w.values
     )
-    _check(
-        checks,
-        "interpolation_exact_on_interior",
-        interior_err <= 1e-6,
-        interior_err,
-        1e-6,
-    )
+    _at_most(checks, "interpolation_exact_on_interior", interior_err, 1e-6)
 
     coarse = comb_sample(s_w, 1.0)
     aliased = periodized_spectrum(coarse)
     alias_dev = _sup(aliased.values[in_band] - s_hat.values[in_band])
-    _check(
-        checks,
-        "undersampling_aliases_on_band",
-        alias_dev >= 1e-2,
-        alias_dev,
-        1e-2,
-    )
+    _at_least(checks, "undersampling_aliases_on_band", alias_dev, 1e-2)
 
     window = _gap_window(t_sn, t_sn, grid.dt)
     r = erase(s_w, ErasureModel(window=window, source_band=band))
@@ -722,9 +697,7 @@ def run_quantum_pipeline(
         1.0, windows.xp + eps_grid(grid, windows.p_band, windows.x_window)
     )
     metrics["window_probability"] = ratio
-    _check(
-        checks, "window_probability_bounded", ratio <= ratio_cap, ratio, ratio_cap
-    )
+    _at_most(checks, "window_probability_bounded", ratio, ratio_cap)
 
     psi_m = gate_state(psi_p, windows)
     psi_t = momentum_smooth(psi_m, windows)
@@ -761,21 +734,11 @@ def run_quantum_pipeline(
             "psd_projected": fit.psd_projected,
         }
     )
-    _check(checks, "tomography_max_abs_error", fit_err <= 1e-6, fit_err, 1e-6)
-    _check(
-        checks,
-        "tomography_design_well_conditioned",
-        fit.condition_number <= 1e10,
-        fit.condition_number,
-        1e10,
+    _at_most(checks, "tomography_max_abs_error", fit_err, 1e-6)
+    _at_most(
+        checks, "tomography_design_well_conditioned", fit.condition_number, 1e10
     )
-    _check(
-        checks,
-        "fitted_matrix_rank1",
-        float(evals[-2]) <= 1e-6,
-        float(evals[-2]),
-        1e-6,
-    )
+    _at_most(checks, "fitted_matrix_rank1", float(evals[-2]), 1e-6)
     try:
         psi_rec = recover_state(psi_extract, windows)
     except RefusalError as exc:
@@ -790,13 +753,7 @@ def run_quantum_pipeline(
         return checks, metrics, []
     fid = fidelity(psi_rec, psi_p)
     metrics["pipeline_fidelity"] = fid
-    _check(
-        checks,
-        "pipeline_fidelity",
-        fid >= 1.0 - 1e-6,
-        fid,
-        1.0 - 1e-6,
-    )
+    _at_least(checks, "pipeline_fidelity", fid, 1.0 - 1e-6)
     artifacts = [
         write_density_csv(outdir / "density_true.csv", rho_true),
         write_density_csv(outdir / "density_fit.csv", fit.rho),

@@ -121,19 +121,17 @@ def write_json(path, obj) -> Path:
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
+#: size of every chart, in pixels
+_SVG_WIDTH = 640
+_SVG_HEIGHT = 400
+
 
 def _svg_coord(x: float) -> str:
     return f"{x:.2f}"
 
 
-def write_svg_lines(
-    path,
-    series,
-    title: str = "",
-    width: int = 640,
-    height: int = 400,
-) -> Path:
-    """Static SVG line chart.
+def write_svg_lines(path, series, title: str = "") -> Path:
+    """Static SVG line chart, 640 x 400 pixels.
 
     ``series`` is a list of (label, x, y) triples drawn as polylines over
     a shared frame, with the axis ranges printed at the corners and a
@@ -141,6 +139,7 @@ def write_svg_lines(
     more.
     """
     path = Path(path)
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     margin = 46.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin

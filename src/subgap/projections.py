@@ -89,6 +89,15 @@ def out_of_band_fraction(s: SampledSignal, band: Interval) -> float:
     return leak / total
 
 
+def _require_bandlimited(s: SampledSignal, band: Interval, what: str):
+    """Raise NotBandlimitedError when ``s`` leaks more than BANDLIMIT_TOL."""
+    frac = out_of_band_fraction(s, band)
+    if not frac <= BANDLIMIT_TOL:
+        raise NotBandlimitedError(
+            f"{what} has relative out-of-band energy {frac:.3e} > {BANDLIMIT_TOL}"
+        )
+
+
 def smear_response(band: Interval, delta_t) -> complex:
     """Closed-form gap response G(dt; W) = int_[W] exp(-2 pi i w dt) dw.
 
@@ -229,19 +238,12 @@ def band_spill_ratio(s_w: SampledSignal, band: Interval, window: Interval) -> fl
 
     For a signal bandlimited to [W], gating to a window of width T forces
     at least 1 - WT of the segment's energy outside the band:
-    <g|(1-P_W)|g> / <g|g> >= 1 - WT - eps_grid with g = P_T s_W.  That
-    spill is precisely what the recovery formulas fold back.
+    <g|(1-P_W)|g> / <g|g> >= 1 - WT - eps_grid with g = P_T s_W, the
+    complement of :func:`segment_compatibility`.  That spill is precisely
+    what the recovery formulas fold back.
     """
-    frac = out_of_band_fraction(s_w, band)
-    if not frac <= BANDLIMIT_TOL:
-        raise NotBandlimitedError(
-            f"input has relative out-of-band energy {frac:.3e} > {BANDLIMIT_TOL}"
-        )
-    g = time_gate(s_w, window)
-    denom = l2_norm(g) ** 2
-    if denom <= 0.0:
-        raise ValueError("signal has no energy inside the window")
-    ratio = 1.0 - l2_norm(band_project(g, band)) ** 2 / denom
+    _require_bandlimited(s_w, band, "input")
+    ratio = 1.0 - segment_compatibility(s_w, window, band)
     floor = 1.0 - band.width * window.width - eps_grid(s_w.grid, band, window)
     if not ratio >= floor - 1e-12:
         raise BoundViolationError(f"spill {ratio} below bound {floor}")

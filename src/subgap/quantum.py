@@ -47,14 +47,13 @@ from .errors import (
     BoundViolationError,
     DegenerateDesignError,
     NonConvergenceError,
-    NotBandlimitedError,
     RefusalError,
 )
 from .projections import (
+    _require_bandlimited,
     band_project,
     complement_gate,
     concentration_ratio,
-    out_of_band_fraction,
     time_gate,
 )
 from .recovery import recover_band_neumann
@@ -80,9 +79,6 @@ __all__ = [
     "tomography_solve",
     "rank1_extract",
 ]
-
-#: relative momentum leakage below which a state counts as momentum-limited
-MOMENTUM_LIMIT_TOL = 1e-10
 
 #: second eigenvalue above which a density matrix is not numerically rank 1
 RANK1_TOL = 1e-6
@@ -262,14 +258,6 @@ def position_gate(psi: WaveFunction, window: Interval) -> WaveFunction:
     return WaveFunction(psi.grid, time_gate(psi, window).values)
 
 
-def _require_momentum_limited(psi: WaveFunction, band: Interval):
-    leak = out_of_band_fraction(_conj(psi), band)
-    if not leak <= MOMENTUM_LIMIT_TOL:
-        raise NotBandlimitedError(
-            f"state has relative momentum leakage {leak:.3e} outside the band"
-        )
-
-
 def landau_pollak_ratio(psi: WaveFunction, windows: PhaseSpaceWindows) -> float:
     """Conditional probability <psi|P_P P_X P_P|psi> / <psi|P_P|psi>.
 
@@ -288,7 +276,7 @@ def gate_state(psi_p: WaveFunction, windows: PhaseSpaceWindows) -> WaveFunction:
     on [X] and, by the spill bound, carries momentum outside [P]: the gap
     spoils the momentum limit.
     """
-    _require_momentum_limited(psi_p, windows.p_band)
+    _require_bandlimited(_conj(psi_p), windows.p_band, "state (in momentum)")
     gated = complement_gate(psi_p, windows.x_window)
     nrm = l2_norm(gated)
     if nrm <= 0.0:
@@ -346,7 +334,7 @@ def build_density(psi: WaveFunction, band: Interval) -> DensityMatrix:
     The state must be momentum-limited to the band; coefficients are
     normalized so the trace is exactly 1.
     """
-    _require_momentum_limited(psi, band)
+    _require_bandlimited(_conj(psi), band, "state (in momentum)")
     spec = momentum_spectrum(psi)
     keep = band.mask(spec.grid.frequencies)
     p_grid = spec.grid.frequencies[keep]

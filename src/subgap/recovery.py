@@ -26,15 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Interval, SampledSignal, TimeGrid, l2_norm
-from .errors import GridMismatchError, NotBandlimitedError, RefusalError
+from .errors import GridMismatchError, RefusalError
 # band_project is unused here but stays bound: perfbench's tracer smoke
 # test checks that wrapping reaches subgap.recovery.band_project
 from .projections import (  # noqa: F401
-    BANDLIMIT_TOL,
     _concentration_operator,
+    _require_bandlimited,
     band_project,
     complement_gate,
-    out_of_band_fraction,
 )
 
 __all__ = [
@@ -52,6 +51,9 @@ __all__ = [
 
 #: extra headroom below 1 required of the discrete operator norm
 LAMBDA_MARGIN = 1e-6
+
+#: largest min(M, K) system the direct solve takes on
+DIRECT_SOLVE_DIM_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,21 @@ class InvertibilityReport:
     wt_ok: bool
     lambda0_ok: bool
     invertible: bool
+
+    @property
+    def reason(self) -> str:
+        """The refusal reason: WT and lambda0, each with its verdict."""
+        return (
+            f"not invertible: WT={self.wt:.6g} (ok={self.wt_ok}), "
+            f"lambda0={self.lambda0:.6g} (ok={self.lambda0_ok})"
+        )
+
+    def _require(self, what: str):
+        """Raise RefusalError naming ``what`` unless the gap is invertible."""
+        if not self.invertible:
+            raise RefusalError(
+                f"refusing {what}: WT={self.wt:.6g}, lambda0={self.lambda0:.6g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -120,12 +137,7 @@ def erase(s_w: SampledSignal, model: ErasureModel) -> SampledSignal:
     The input must be bandlimited to ``model.source_band`` (the receiver
     knows the band); out-of-band energy above 1e-10 relative is rejected.
     """
-    frac = out_of_band_fraction(s_w, model.source_band)
-    if not frac <= BANDLIMIT_TOL:
-        raise NotBandlimitedError(
-            f"signal has relative out-of-band energy {frac:.3e} > {BANDLIMIT_TOL}; "
-            "erase() is defined for bandlimited inputs"
-        )
+    _require_bandlimited(s_w, model.source_band, "erase() input")
     r = complement_gate(s_w, model.window)
     if model.noise is not None:
         if model.noise.grid != s_w.grid:
@@ -162,13 +174,9 @@ def _default_k_max(wt: float, tol: float) -> int:
 
 
 def _refusal(report: InvertibilityReport) -> RecoveryReport:
-    reason = (
-        f"not invertible: WT={report.wt:.6g} (ok={report.wt_ok}), "
-        f"lambda0={report.lambda0:.6g} (ok={report.lambda0_ok})"
-    )
     return RecoveryReport(
         recovered=None, iterations=0, residual_history=np.empty(0),
-        contraction_estimate=float("nan"), refused=True, reason=reason,
+        contraction_estimate=float("nan"), refused=True, reason=report.reason,
         converged=False,
     )
 
@@ -328,18 +336,18 @@ def recover_direct(r: SampledSignal, band: Interval, window: Interval) -> Sample
     Raises
     ------
     RefusalError
-        If the invertibility report fails or the in-band dimension M
-        exceeds 4096.
+        If the invertibility report fails or the solved dimension
+        min(M, K) exceeds ``DIRECT_SOLVE_DIM_LIMIT`` = 4096.
     """
     report, op, q = _prepared(r, band, window)
-    if not report.invertible:
-        raise RefusalError(
-            f"refusing direct solve: WT={report.wt:.6g}, lambda0={report.lambda0:.6g}"
-        )
+    report._require("direct solve")
     e = op.e
     m, k = e.shape
-    if m > 4096:
-        raise RefusalError(f"in-band dimension {m} exceeds 4096")
+    if min(m, k) > DIRECT_SOLVE_DIM_LIMIT:
+        raise RefusalError(
+            f"direct-solve dimension min(M, K) = {min(m, k)} exceeds "
+            f"{DIRECT_SOLVE_DIM_LIMIT}"
+        )
     n = r.grid.n
     if k < m:
         u = q + e @ np.linalg.solve(np.eye(k) - op.gram / n, (e.conj().T @ q) / n)
@@ -362,26 +370,27 @@ def noise_stability_sweep(
     on the window) is added to the erased signal and the series solver is
     run.  The amplification err/sigma is bounded by the geometric-series
     constant 1/(1 - sqrt(lambda0)) plus 10% slack; each row carries both,
-    so the caller can check them.
+    so the caller can check them.  ``s_w`` is erased, and so checked for
+    bandlimitedness, once for the whole sweep; a sigma that is not finite
+    raises ValueError.
     """
     report = invertibility_report(s_w.grid, band, window)
-    if not report.invertible:
-        raise RefusalError(
-            f"refusing stability sweep: WT={report.wt:.6g}, lambda0={report.lambda0:.6g}"
-        )
+    report._require("stability sweep")
+    sigmas = [float(sigma) for sigma in noise_levels]
+    if not all(math.isfinite(sigma) for sigma in sigmas):
+        raise ValueError(f"noise levels must be finite, got {sigmas}")
     bound = 1.1 / (1.0 - math.sqrt(report.lambda0))
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(s_w.grid.n) + 1j * rng.standard_normal(s_w.grid.n)
     raw[window.mask(s_w.grid.times)] = 0.0
     unit = raw / l2_norm(SampledSignal(s_w.grid, raw))
+    clean = erase(s_w, ErasureModel(window=window, source_band=band))
     rows = []
-    for sigma in noise_levels:
-        sigma = float(sigma)
-        model = ErasureModel(
-            window=window, source_band=band,
-            noise=SampledSignal(s_w.grid, sigma * unit) if sigma > 0.0 else None,
-        )
-        rec = recover_neumann(erase(s_w, model), band, window, tol=tol)
+    for sigma in sigmas:
+        r = clean
+        if sigma > 0.0:
+            r = SampledSignal(s_w.grid, clean.values + sigma * unit)
+        rec = recover_neumann(r, band, window, tol=tol)
         err = l2_norm(SampledSignal(s_w.grid, rec.recovered.values - s_w.values))
         amp = err / sigma if sigma > 0.0 else 0.0
         rows.append(StabilityRow(sigma=sigma, err=err, amplification=amp, bound=bound))

@@ -75,7 +75,6 @@ class CombSamples:
     period: float
     offsets: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    source_label: str = "s"
 
     def __post_init__(self):
         if self.period <= 0:

@@ -271,3 +271,18 @@ def test_run_past_the_limit_records_the_refusal(tmp_path, cfg, stage):
     refusal = [c for c in report["checks"] if c["name"] == "refusal_consistent_with_limit"]
     assert len(refusal) == 1 and refusal[0]["passed"]
     assert stage in refusal[0]["threshold"]
+
+
+def test_direct_solve_runs_with_more_than_4096_in_band_bins(tmp_path):
+    # M = 4915 in-band bins but K = 1 gated sample: the direct solve is 1 x 1
+    cfg = {
+        "experiment": "recovery",
+        "W": 38.4,
+        "T_DS": 0.015625,
+        "grid": {"start": -64.0, "step": 0.015625, "n": 8192},
+    }
+    out = tmp_path / "out"
+    assert main(["run", str(_write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is True
+    assert "series_matches_direct_solve" in {c["name"] for c in report["checks"]}

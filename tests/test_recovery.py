@@ -29,6 +29,8 @@ from subgap import (
     recover_state,
     time_gate,
 )
+from subgap import recovery
+from subgap.experiments import run_stability
 
 WINDOW = Interval(0.0, 0.25)  # WT = 0.5 with the W = 2 band
 
@@ -423,3 +425,39 @@ def test_series_steps_make_no_fft(band, s_w, monkeypatch):
         assert rec.iterations > 4
         assert short == long <= 3
     assert count(lambda: recover_direct(r, band, WINDOW))[0] <= 3
+
+
+def test_stability_run_erases_once(tmp_path, monkeypatch):
+    # the run's own band projection, one bandlimit check of s_W for the
+    # whole sweep, and one transform of each of the three sigmas' data
+    calls = []
+    real = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    assert run_stability(tmp_path)["passed"]
+    assert len(calls) == 5
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stability_sweep_rejects_a_non_finite_sigma(band, s_w, bad, first):
+    sigmas = (bad, 1e-4) if first else (1e-4, bad)
+    with pytest.raises(ValueError, match="finite"):
+        noise_stability_sweep(s_w, band, WINDOW, sigmas)
+
+
+def test_direct_solve_bounds_the_solved_dimension(band, s_w, monkeypatch):
+    # W = 2, T = 1/4 on the default grid: M = 128 in-band bins, K = 16
+    # gated samples, so the Woodbury path solves a 16 x 16 system
+    r = _erased(s_w, band)
+    monkeypatch.setattr(recovery, "DIRECT_SOLVE_DIM_LIMIT", 16)
+    err = recover_direct(r, band, WINDOW).values - s_w.values
+    assert np.max(np.abs(err)) <= 1e-8
+    monkeypatch.setattr(recovery, "DIRECT_SOLVE_DIM_LIMIT", 15)
+    with pytest.raises(RefusalError, match="min\\(M, K\\) = 16 exceeds 15"):
+        recover_direct(r, band, WINDOW)
