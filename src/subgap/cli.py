@@ -13,16 +13,17 @@ configs.  The output directory is resolved in order from ``--out``, the
 config's ``outdir`` field, the ``SUBGAP_OUTDIR`` environment variable, and
 finally ``./out``.  Exit status is 0 when every check in the run's report
 passed and 1 when one failed.  A config error exits with status 2 and a
-diagnostic: the field the schema rejects, or the runner's ``ValueError``
-for a config that does not fit the grid (a band past Nyquist, a window
-outside the grid, a sampling period off its lattice, fewer tomography
-samples than M^2) or, in ``fig2``, a ``T_DS`` list without ``T_SN``.
+diagnostic: the field the schema rejects or that is NaN or infinite, or the
+runner's ``ValueError`` for a config that does not fit the grid (a band past
+Nyquist, a window outside the grid, a sampling period off its lattice, fewer
+tomography samples than M^2) or, in ``fig2``, a ``T_DS`` list without ``T_SN``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -77,6 +78,15 @@ _VALIDATORS = {
 }
 
 
+def _require_finite(value, path=""):
+    """Raise ConfigError naming the dotted field path of a NaN or infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"field `{path}`: must be a finite number, got {value}")
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _require_finite(item, f"{path}.{key}" if path else str(key))
+
+
 def validate_config(cfg):
     """Validate a parsed config and translate it to runner arguments.
 
@@ -90,6 +100,7 @@ def validate_config(cfg):
         raise ConfigError(
             f"field `experiment` must be one of {sorted(SCHEMAS)}, got {kind!r}"
         )
+    _require_finite(cfg)
     exc = jsonschema.exceptions.best_match(_VALIDATORS[kind].iter_errors(cfg))
     if exc is not None:
         loc = ".".join(str(p) for p in exc.absolute_path)

@@ -11,6 +11,7 @@ grid, so bounds carry an explicit discretization slack ``eps_grid``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +82,17 @@ def complement_gate(s: SampledSignal, window: Interval) -> SampledSignal:
 
 
 def out_of_band_fraction(s: SampledSignal, band: Interval) -> float:
-    """Relative L2 norm of the part of ``s`` outside ``band`` (0 for in-band)."""
-    total = l2_norm(s)
+    """Relative L2 norm ||s - P_W s|| / ||s|| of the part outside ``band``.
+
+    One inverse FFT and Parseval; 0 for a zero signal, NaN for a non-finite one.
+    """
+    _check_band(s.grid, band)
+    power = np.abs(np.fft.ifft(s.values)) ** 2
+    total = power.sum()
     if total == 0.0:
         return 0.0
-    leak = l2_norm(SampledSignal(s.grid, s.values - band_project(s, band).values))
-    return leak / total
+    keep = np.fft.ifftshift(band.mask(s.grid.dual.frequencies))
+    return math.sqrt(power[~keep].sum() / total) if math.isfinite(total) else math.nan
 
 
 def _require_bandlimited(s: SampledSignal, band: Interval, what: str):
@@ -141,6 +147,14 @@ def concentration_ratio(s: SampledSignal, band: Interval, window: Interval) -> f
     return ratio
 
 
+@functools.lru_cache(maxsize=4)
+def _roots_of_unity(n: int) -> np.ndarray:
+    """The read-only table exp(2 pi i k / n), k = 0..n-1, built once per n."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots.setflags(write=False)
+    return roots
+
+
 def _gated_exponentials(grid: TimeGrid, band: Interval, window: Interval):
     """The exact-phase basis E_mk = exp(2 pi i ((m k) mod n) / n).
 
@@ -152,8 +166,9 @@ def _gated_exponentials(grid: TimeGrid, band: Interval, window: Interval):
     is c * E E^H on in-band data and the window's samples of P_W x are
     E^H (q + E h) / n, where h holds x on the window and x is r outside it;
     c = dt * dw = 1/n.  The t_start phase ramps of the transform pair
-    cancel in both, so E carries none.  Returns (E, c, bins, gates).
-    Uncached: callers read E from :func:`_concentration_operator`.
+    cancel in both, so E carries none.  Returns (E, c, bins, gates), E
+    gathered from :func:`_roots_of_unity`.  Uncached: callers read E from
+    :func:`_concentration_operator`.
     """
     _check_band(grid, band)
     _check_window(grid, window)
@@ -162,8 +177,7 @@ def _gated_exponentials(grid: TimeGrid, band: Interval, window: Interval):
     gates = np.flatnonzero(window.mask(grid.times))
     if bins.size == 0:
         raise ValueError("band contains no frequency bins")
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    e = roots[np.outer(bins, gates) % n]
+    e = _roots_of_unity(n)[np.outer(bins, gates) % n]
     return e, grid.dt * grid.dual.dw, bins, gates
 
 

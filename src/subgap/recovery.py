@@ -11,11 +11,12 @@ solve, and a noise-amplification sweep.
 Every term of the series after the first changes the signal only inside
 the window, so the solvers work in the exact-phase basis E of the M
 in-band bins and the K gated samples (``projections._gated_exponentials``).
-That basis and lambda0 are built once per (grid, band, window) and shared
-by the refusal check and all three solvers.  A series step is two M x K
-products, O(M K) work, which is less than one length-n FFT whenever WT < 1
-(M K <= WT n + M + K); each solve makes one FFT of its input and at most
-one back.
+That basis, lambda0 and the min(M, K) Gram matrix G of E are built once
+per (grid, band, window) and shared by the refusal check and all three
+solvers.  A series step multiplies by G alone, O(min(M, K)^2) work; below
+the limit M K <= WT n + M + K, so min(M, K) is about sqrt(n) at most.
+Each solve makes one FFT of its input, at most one back, and at most two
+M x K products.
 """
 
 from __future__ import annotations
@@ -184,18 +185,27 @@ def _refusal(report: InvertibilityReport) -> RecoveryReport:
 def _prepared(r: SampledSignal, band: Interval, window: Interval):
     """The shared build of E for both the refusal check and the solve.
 
-    Returns (report, op, q) with q = n * ifft(r) on the in-band bins; q is
-    None when the report refuses.
+    Returns (report, op, q, c): q = n * ifft(r) on the in-band bins and c
+    the right-hand side of (I - G/n) z = c, E^H q / n when K < M (z is the
+    window's h) and q otherwise (z is u); None when the report refuses.
     """
     op = _concentration_operator(r.grid, band, window)
     report = _report(band, window, op.lambda0)
-    q = np.fft.ifft(r.values)[op.bins] * r.grid.n if report.invertible else None
-    return report, op, q
+    if not report.invertible:
+        return report, op, None, None
+    q = np.fft.ifft(r.values)[op.bins] * r.grid.n
+    on_window = op.gram.shape[0] < q.size
+    return report, op, q, op.e.conj().T @ q / r.grid.n if on_window else q
 
 
 def _norm(x: np.ndarray) -> float:
     """np.linalg.norm of a complex vector: its own arithmetic, not its overhead."""
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
+def _gram_norm(g: np.ndarray, d: np.ndarray) -> float:
+    """||E d|| (K < M) or ||E^H d|| (K >= M) from the Gram matrix G of E."""
+    return math.sqrt(max(np.vdot(d, g @ d).real, 0.0))
 
 
 def _in_band_signal(grid: TimeGrid, bins: np.ndarray, u: np.ndarray) -> SampledSignal:
@@ -205,17 +215,15 @@ def _in_band_signal(grid: TimeGrid, bins: np.ndarray, u: np.ndarray) -> SampledS
     return SampledSignal(grid, np.fft.fft(full) / grid.n)
 
 
-def _neumann_loop(e, q, n: int, measure, tol: float, k_max: int):
-    """Iterate h_i = E^H (q + E h_{i-1}) / n from h_0 = 0 on the window.
+def _neumann_loop(g, c, n: int, measure, tol: float, k_max: int):
+    """Iterate z_i = c + (G/n) z_{i-1} from z_0 = 0 in the Gram dimension.
 
-    Each step is two M x K products and also forms u_i = q + E h_i, the
-    in-band coefficients of the band iterate.  ``measure(h, u, h_prev,
-    u_prev)`` returns the step's update norm and the new iterate's norm,
-    in any one unit.  Returns the report fields and the final (h, u).
+    A step is one product with the min(M, K) Gram matrix G.  With c from
+    :func:`_prepared`, z_i = h_i when K < M, else u_{i-1}.  ``measure(z_i,
+    z_{i-1}, G z_i)`` returns the update norm and the new iterate's norm,
+    in any one unit.  Returns the report fields and the final (z, G z).
     """
-    eh = e.conj().T
-    h = np.zeros(e.shape[1], dtype=complex)
-    u = q
+    z = gz = np.zeros_like(c)
     rel_history = []
     abs_history = []
     converged = False
@@ -223,10 +231,10 @@ def _neumann_loop(e, q, n: int, measure, tol: float, k_max: int):
     iterations = 0
     for _ in range(k_max):
         iterations += 1
-        h_new = (eh @ u) / n
-        u_new = q + e @ h_new
-        abs_up, nrm = measure(h_new, u_new, h, u)
-        h, u = h_new, u_new
+        z_new = c + gz / n
+        gz_new = g @ z_new
+        abs_up, nrm = measure(z_new, z, gz_new)
+        z, gz = z_new, gz_new
         rel = abs_up / max(nrm, 1e-300)
         rel_history.append(rel)
         abs_history.append(abs_up)
@@ -247,7 +255,7 @@ def _neumann_loop(e, q, n: int, measure, tol: float, k_max: int):
         contraction_estimate=contraction, refused=False, reason=reason,
         converged=converged,
     )
-    return fields, h, u
+    return fields, z, gz
 
 
 def recover_neumann(
@@ -262,29 +270,32 @@ def recover_neumann(
     The iterates converge to the unique bandlimited preimage at geometric
     rate ||P_T P_W|| <= sqrt(WT); with zero noise the final relative error
     is <= tol/(1 - sqrt(lambda0)).  Refuses (without iterating) when the
-    invertibility report fails.  Each x_k equals r outside the window, so
-    the series runs on the window's K samples at O(M K) per step, after
-    one FFT of r.
+    invertibility report fails.  Each x_k equals r outside the window, and
+    its window samples h_k = E^H u_{k-1} / n follow the series in dimension
+    min(M, K) at O(min(M, K)^2) per step, after one FFT of r.
     """
-    report, op, q = _prepared(r, band, window)
+    report, op, q, c = _prepared(r, band, window)
     if not report.invertible:
         return _refusal(report)
     if k_max is None:
         k_max = _default_k_max(report.wt, tol)
+    n, g, on_window = r.grid.n, op.gram, c.size < q.size
     r_t = r.values[op.gates]
     outside = np.delete(r.values, op.gates)
     out_sq = float(np.vdot(outside, outside).real)
+    er = None if on_window else op.e @ r_t
+    in_sq = out_sq + _norm(r_t) ** 2
 
-    def measure(h, u, h_prev, u_prev):
-        x_t = r_t + h
-        return (
-            _norm(h - h_prev),
-            math.sqrt(out_sq + float(np.vdot(x_t, x_t).real)),
-        )
+    def measure(z, z_prev, gz):
+        if on_window:  # z is h
+            return _norm(z - z_prev), math.sqrt(out_sq + _norm(r_t + z) ** 2)
+        # z is u_{k-1} and h = E^H z / n: ||r_t + h||^2 expands with E r_t
+        cross = 2.0 * np.vdot(er, z).real / n + np.vdot(z, gz).real / n**2
+        return _gram_norm(g, z - z_prev) / n, math.sqrt(in_sq + cross)
 
-    fields, h, _ = _neumann_loop(op.e, q, r.grid.n, measure, tol, k_max)
+    fields, z, _ = _neumann_loop(g, c, n, measure, tol, k_max)
     x = r.values.copy()
-    x[op.gates] = r_t + h
+    x[op.gates] = r_t + (z if on_window else op.e.conj().T @ z / n)
     return RecoveryReport(recovered=SampledSignal(r.grid, x), **fields)
 
 
@@ -301,20 +312,27 @@ def recover_band_neumann(
     every iterate is bandlimited and already free of the time gap; the
     zeroth iterate P_W r is itself a useful first-order approximation for
     small WT.  Converges to the same fixed point as :func:`recover_neumann`.
-    y_k = fft(u_k) / n for in-band coefficients u_k = q + E h_k, so each
-    step costs O(M K) and the update norm is ||u_k - u_{k-1}|| / sqrt(n)
-    by Parseval; one FFT pair per solve.
+    y_k = fft(u_k) / n for u_k = q + E h_k, so the update norm is
+    ||u_k - u_{k-1}|| / sqrt(n) by Parseval; the series runs in dimension
+    min(M, K) at O(min(M, K)^2) per step, with one FFT pair per solve.
     """
-    report, op, q = _prepared(r, band, window)
+    report, op, q, c = _prepared(r, band, window)
     if not report.invertible:
         return _refusal(report)
     if k_max is None:
         k_max = _default_k_max(report.wt, tol)
+    n, g, on_window = r.grid.n, op.gram, c.size < q.size
+    q_sq = _norm(q) ** 2
 
-    def measure(h, u, h_prev, u_prev):
-        return _norm(u - u_prev), _norm(u)
+    def measure(z, z_prev, gz):
+        if on_window:  # z is h: ||q + E h||^2 = ||q||^2 + 2 n Re(c^H h) + h^H G h
+            u_sq = q_sq + 2.0 * n * np.vdot(c, z).real + np.vdot(z, gz).real
+            return _gram_norm(g, z - z_prev), math.sqrt(u_sq)
+        u = q + gz / n  # z is u_{k-1}
+        return _norm(u - z), _norm(u)
 
-    fields, _, u = _neumann_loop(op.e, q, r.grid.n, measure, tol, k_max)
+    fields, z, gz = _neumann_loop(g, c, n, measure, tol, k_max)
+    u = q + op.e @ z if on_window else q + gz / n
     return RecoveryReport(recovered=_in_band_signal(r.grid, op.bins, u), **fields)
 
 
@@ -339,20 +357,15 @@ def recover_direct(r: SampledSignal, band: Interval, window: Interval) -> Sample
         If the invertibility report fails or the solved dimension
         min(M, K) exceeds ``DIRECT_SOLVE_DIM_LIMIT`` = 4096.
     """
-    report, op, q = _prepared(r, band, window)
+    report, op, q, c = _prepared(r, band, window)
     report._require("direct solve")
-    e = op.e
-    m, k = e.shape
-    if min(m, k) > DIRECT_SOLVE_DIM_LIMIT:
+    if c.size > DIRECT_SOLVE_DIM_LIMIT:
         raise RefusalError(
-            f"direct-solve dimension min(M, K) = {min(m, k)} exceeds "
+            f"direct-solve dimension min(M, K) = {c.size} exceeds "
             f"{DIRECT_SOLVE_DIM_LIMIT}"
         )
-    n = r.grid.n
-    if k < m:
-        u = q + e @ np.linalg.solve(np.eye(k) - op.gram / n, (e.conj().T @ q) / n)
-    else:
-        u = np.linalg.solve(np.eye(m) - op.gram / n, q)
+    z = np.linalg.solve(np.eye(c.size) - op.gram / r.grid.n, c)
+    u = q + op.e @ z if c.size < q.size else z
     return _in_band_signal(r.grid, op.bins, u)
 
 

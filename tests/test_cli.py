@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -99,6 +100,27 @@ def test_degenerate_config_is_rejected(tmp_path, capsys, cfg, field):
         validate_config(cfg)
     assert _run_cfg(tmp_path, cfg) == 2
     assert f"`{field}`" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg,field",
+    [
+        # json.loads reads NaN, Infinity and -Infinity as floats, which pass
+        # every number schema: these crashed in the runner or named no field
+        (dict(MINIMAL["quantum_pipeline"], t_max=float("inf")), "t_max"),
+        (dict(MINIMAL["sampling"], T_SN=float("nan")), "T_SN"),
+        (dict(MINIMAL["recovery"], grid={"start": -1.0, "step": math.inf, "n": 64}), "grid.step"),
+        (dict(MINIMAL["fig2"], T_DS=[1.0, -math.inf]), "T_DS.1"),
+    ],
+)
+def test_non_finite_number_is_rejected_with_its_field(tmp_path, capsys, cfg, field):
+    with pytest.raises(ConfigError, match=f"`{field}`: must be a finite number"):
+        validate_config(cfg)
+    path = _write_cfg(tmp_path, cfg)
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid config: field `{field}`")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

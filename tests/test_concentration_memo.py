@@ -12,12 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subgap
 from subgap import (
     ErasureModel,
     Interval,
     SampledSignal,
+    TimeGrid,
     erase,
     invertibility_report,
     recover_band_neumann,
@@ -144,3 +147,69 @@ def test_e_is_built_in_one_place():
         ]
         assert len(refs) == (path.stem == "projections"), (path.name, refs)
     assert found == [("projections", "_concentration_operator")]
+
+
+def test_roots_table_is_read_only_and_carries_no_state(builds, grid, random_bandlimited):
+    # E is gathered from one table of the n roots of unity per n; evicting
+    # the table, the operator or both changes no bit of E or of any solve
+    band, window = CASES["K<M"]
+    r = _erased(random_bandlimited, band, window)
+    projections._roots_of_unity.cache_clear()
+    cold = _solve_all(r, band, window)
+    op = projections._concentration_operator(grid, band, window)
+    n = grid.n
+    fresh = np.exp(2j * np.pi * np.arange(n) / n)[np.outer(op.bins, op.gates) % n]
+    assert np.array_equal(op.e, fresh)
+    for evict in (
+        projections._roots_of_unity.cache_clear,
+        projections._concentration_operator.cache_clear,
+        lambda: (projections._roots_of_unity.cache_clear(),
+                 projections._concentration_operator.cache_clear()),
+    ):
+        evict()
+        run = _solve_all(r, band, window)
+        for name, fields in cold.items():
+            assert all(np.array_equal(a, b) for a, b in zip(fields, run[name])), name
+        assert np.array_equal(projections._concentration_operator(grid, band, window).e, fresh)
+    roots = projections._roots_of_unity(n)
+    assert roots is projections._roots_of_unity(n)
+    with pytest.raises(ValueError):
+        roots[0] = 0.0
+
+
+@st.composite
+def _contiguous_supports(draw):
+    """M contiguous in-band bins and K contiguous gated samples on n <= 160,
+    with K drawn from anywhere, from the range (M - 1)(K - 1) < n, or from
+    past the discrete uncertainty limit M + K > n."""
+    n = 2 * draw(st.integers(2, 80))
+    grid = TimeGrid(draw(st.floats(-50.0, 50.0)), draw(st.floats(0.01, 1.0)), n)
+    m = draw(st.integers(1, n - 1))
+    below = n - m if m == 1 else min(n - m, (n - 1) // (m - 1) + 1)
+    ranges = [(1, n - 1), (1, below)] + ([(n - m + 1, n - 1)] if m > 1 else [])
+    k = draw(st.integers(*draw(st.sampled_from(ranges))))
+    first_bin = draw(st.integers(1, n - m))
+    first_sample = draw(st.integers(1, n - k))
+    dw = grid.dual.dw
+    band = Interval(grid.dual.frequencies[first_bin] + 0.5 * (m - 1) * dw, m * dw)
+    window = Interval(grid.times[first_sample] + 0.5 * (k - 1) * grid.dt, k * grid.dt)
+    return grid, band, window, m, k
+
+
+@settings(max_examples=200)
+@given(_contiguous_supports())
+def test_gram_top_eigenvalue_obeys_the_exact_grid_bounds(case):
+    # trace(E E^H) / n = M K / n bounds lambda0; on the n-point cycle a
+    # vector on K consecutive samples vanishes on at most K - 1 of the bins
+    # off the band, so lambda0 = 1 exactly when M + K > n (Donoho & Stark).
+    # Below the limit the test keeps to (M - 1)(K - 1) < n, because with
+    # M ~ K ~ n/2 the gap 1 - lambda0 underflows
+    grid, band, window, m, k = case
+    op = projections._concentration_operator(grid, band, window)
+    n = grid.n
+    assert op.e.shape == (m, k) and op.gram.shape == (min(m, k),) * 2
+    assert op.lambda0 <= m * k / n + 1e-12
+    if m + k > n:
+        assert op.lambda0 >= 1.0 - 1e-12
+    elif (m - 1) * (k - 1) < n:
+        assert op.lambda0 < 1.0 - 1e-12

@@ -95,6 +95,29 @@ def test_out_of_band_fraction_extremes(grid, band, s_w):
     assert out_of_band_fraction(tone, Interval(0.0, 1.0)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "grid,band",
+    [
+        (TimeGrid(-32.0, 1.0 / 64, 4096), Interval(0.0, 2.0)),
+        # t_start and dt are not dyadic, and the band is off centre
+        (TimeGrid(-10.3, 0.01, 2048), Interval(-0.4, 2.0)),
+    ],
+)
+def test_out_of_band_fraction_is_the_two_transform_definition(grid, band):
+    # one inverse FFT and Parseval against ||s - P_W s|| / ||s||
+    raw = _random_signal(grid, 5)
+    in_band = band_project(raw, band)
+    off_band = SampledSignal(grid, raw.values - in_band.values)
+    zero = SampledSignal(grid, np.zeros(grid.n))
+    for s in (raw, in_band, off_band, zero):
+        total = l2_norm(s)
+        leak = l2_norm(SampledSignal(grid, s.values - band_project(s, band).values))
+        expected = leak / total if total > 0.0 else 0.0
+        assert abs(out_of_band_fraction(s, band) - expected) <= 1e-15
+    assert out_of_band_fraction(zero, band) == 0.0
+    assert out_of_band_fraction(off_band, band) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_smear_response_matches_quadrature():
     band = Interval(0.3, 1.2)
     w = np.linspace(band.lo, band.hi, (1 << 12) + 1)

@@ -194,6 +194,25 @@ def test_lambda0_margin_refuses_below_wt_one():
         recover_state(psi, PhaseSpaceWindows(x_window=window, p_band=band))
 
 
+@pytest.mark.parametrize("n,invertible", [(200, True), (216, False)])
+def test_lambda0_margin_width_is_pinned(n, invertible):
+    # M = 2 in-band bins over K = n - 2 gated samples, WT < 1 on both grids:
+    # 1 - lambda0 = 2 (1 - cos(pi/n)) / n is 1.23e-6 at n = 200 and 9.79e-7
+    # at n = 216, either side of LAMBDA_MARGIN = 1e-6, so a margin of 0 or
+    # one widened to 1.3e-6 fails one of the two cases
+    grid = TimeGrid(0.0, 1.0, n)
+    dw = grid.dual.dw
+    band = Interval(dw / 2, 1.0001 * dw)
+    window = Interval((n - 1) / 2, n - 2.99)
+    assert band.mask(grid.dual.frequencies).sum() == 2
+    assert window.mask(grid.times).sum() == n - 2
+    report = invertibility_report(grid, band, window)
+    assert report.wt_ok and report.lambda0 < 1.0
+    gap = 2.0 * (1.0 - np.cos(np.pi / n)) / n
+    assert 1.0 - report.lambda0 == pytest.approx(gap, rel=1e-6)
+    assert report.lambda0_ok is report.invertible is invertible
+
+
 def test_iteration_budget_reported_honestly(band, s_w):
     r = _erased(s_w, band)
     starved = recover_neumann(r, band, WINDOW, tol=1e-10, k_max=3)
@@ -425,6 +444,21 @@ def test_series_steps_make_no_fft(band, s_w, monkeypatch):
         assert rec.iterations > 4
         assert short == long <= 3
     assert count(lambda: recover_direct(r, band, WINDOW))[0] <= 3
+
+
+def test_erase_makes_one_transform(band, s_w, monkeypatch):
+    # the bandlimit guard is one inverse FFT, and the gate needs none
+    calls = []
+    for name in ("fft", "ifft"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    _erased(s_w, band)
+    assert calls == ["ifft"]
 
 
 def test_stability_run_erases_once(tmp_path, monkeypatch):

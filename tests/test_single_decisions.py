@@ -64,3 +64,23 @@ def test_no_name_is_exported_by_two_modules():
     assert subgap.__all__ == ["__version__", *names]
     for m in modules:
         assert all(getattr(subgap, name) is getattr(m, name) for name in m.__all__)
+
+
+def test_series_steps_stay_in_the_gram_dimension():
+    # a Neumann step multiplies by the min(M, K) Gram matrix, never by the
+    # M x K basis E: neither the loop nor the solvers' per-step measures
+    # may refer to E, as ``e`` or ``op.e``
+    tree = ast.parse(Path(recovery.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    loops = [n for n in ast.walk(defs["_neumann_loop"]) if isinstance(n, ast.For)]
+    measures = [
+        n
+        for name in ("recover_neumann", "recover_band_neumann")
+        for n in ast.walk(defs[name])
+        if isinstance(n, ast.FunctionDef) and n.name == "measure"
+    ]
+    assert len(loops) == 1 and len(measures) == 2
+    for node in loops + measures:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert "e" not in names | attrs, ast.unparse(node)
