@@ -10,8 +10,8 @@ a projective measurement, with free-evolution tomography supplying the
 density matrix in between.
 
 The library works on finite uniform grids with exact FFT-based
-projections; every continuum inequality is enforced with a documented
-discretization slack.
+projections; every concentration ratio is checked against the exact top
+eigenvalue lambda0 ~ WT of the grid's concentration operator.
 """
 
 from .core import *  # noqa: F401,F403

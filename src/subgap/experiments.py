@@ -41,10 +41,10 @@ from .io import (
     write_svg_lines,
 )
 from .projections import (
+    LAMBDA0_TOL,
     band_project,
     band_spill_ratio,
     concentration_ratio,
-    eps_grid,
     operator_norm_sq,
     out_of_band_fraction,
     prolate_matrix,
@@ -354,10 +354,10 @@ def run_bounds_audit(
 ):
     """Audit the concentration bounds over a (W, T) sweep.
 
-    Per pair: the exact min(M, K) Gram-matrix lambda0 against WT + eps_grid
-    and against a dense eigensolve of the M x M prolate matrix, that
-    matrix's trace against WT, the concentration ratio of the demo signal,
-    and the band-spill floor of its gated copy.
+    Per pair: the exact min(M, K) Gram-matrix lambda0 against the trace
+    dt*dw*M*K of the M x M prolate matrix and against its dense eigensolve,
+    that trace against WT, and the concentration ratio of the demo signal
+    and the band spill of its gated copy against lambda0.
     """
     checks = []
     rows = []
@@ -366,7 +366,6 @@ def run_bounds_audit(
         band = Interval(0.0, float(w))
         window = Interval(0.0, float(t))
         wt = float(w) * float(t)
-        eps = eps_grid(grid, band, window)
         lam = operator_norm_sq(grid, band, window)
         b = prolate_matrix(grid, band, window)
         dense = float(np.linalg.eigvalsh(b)[-1])
@@ -375,11 +374,11 @@ def run_bounds_audit(
         conc = concentration_ratio(s_w, band, window)
         spill = band_spill_ratio(s_w, band, window)
         ok = (
-            lam <= wt + eps
+            lam <= trace + 1e-12
             and abs(lam - dense) <= 1e-8
             and abs(trace - wt) <= 0.02 * wt
-            and conc <= min(1.0, wt + eps)
-            and spill >= 1.0 - wt - eps
+            and conc <= lam + LAMBDA0_TOL
+            and spill >= 1.0 - lam - LAMBDA0_TOL
         )
         key = f"W={w:g},T={t:g}"
         traces[key] = trace
@@ -395,17 +394,18 @@ def run_bounds_audit(
                 "spill_ratio": spill,
             },
             {
-                "lambda0_max": wt + eps,
+                "lambda0_max": trace + 1e-12,
                 "dense_gap_max": 1e-8,
                 "trace_rel_tol": 0.02,
-                "spill_min": 1.0 - wt - eps,
+                "conc_max": lam + LAMBDA0_TOL,
+                "spill_min": 1.0 - lam - LAMBDA0_TOL,
             },
         )
-        rows.append((float(w), float(t), wt, lam, conc, spill, eps, ok))
+        rows.append((float(w), float(t), wt, lam, conc, spill, ok))
     artifacts = [
         write_csv(
             outdir / "bounds_audit.csv",
-            ["W", "T", "WT", "lambda0", "conc_ratio", "spill_ratio", "eps_grid", "pass"],
+            ["W", "T", "WT", "lambda0", "conc_ratio", "spill_ratio", "pass"],
             rows,
         )
     ]
@@ -693,11 +693,9 @@ def run_quantum_pipeline(
     metrics = {"XP": windows.xp}
 
     ratio = landau_pollak_ratio(psi_p, windows)
-    ratio_cap = min(
-        1.0, windows.xp + eps_grid(grid, windows.p_band, windows.x_window)
-    )
     metrics["window_probability"] = ratio
-    _at_most(checks, "window_probability_bounded", ratio, ratio_cap)
+    cap = operator_norm_sq(grid, windows.p_band, windows.x_window) + LAMBDA0_TOL
+    _at_most(checks, "window_probability_bounded", ratio, cap)
 
     psi_m = gate_state(psi_p, windows)
     psi_t = momentum_smooth(psi_m, windows)

@@ -2,10 +2,10 @@
 
 ``band_project`` (P_W) zeroes spectrum bins outside a frequency interval;
 ``time_gate`` (P_T) zeroes samples outside a time window.  Both are
-orthogonal projections, and the composite P_W P_T P_W (the prolate
-concentration operator) has operator norm bounded by the time-bandwidth
-product WT.  Everything here is a continuum inequality evaluated on a
-grid, so bounds carry an explicit discretization slack ``eps_grid``.
+orthogonal projections.  The composite P_W P_T P_W (the prolate
+concentration operator) is built once per (grid, band, window); its top
+eigenvalue lambda0 is at most its trace dt*dw*M*K ~ WT, and every
+concentration ratio here is checked against that lambda0 by one guard.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Interval, SampledSignal, TimeGrid, l2_norm
+from .core import Interval, SampledSignal, TimeGrid
 from .errors import BoundViolationError, NotBandlimitedError
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "complement_gate",
     "out_of_band_fraction",
     "smear_response",
-    "eps_grid",
     "concentration_ratio",
     "prolate_matrix",
     "prolate_eigenvalues",
@@ -36,6 +35,8 @@ __all__ = [
 
 #: relative energy threshold below which a signal counts as bandlimited
 BANDLIMIT_TOL = 1e-10
+#: absolute slack of every check of a concentration ratio against lambda0
+LAMBDA0_TOL = 1e-12
 
 
 def _check_band(grid: TimeGrid, band: Interval):
@@ -115,36 +116,7 @@ def smear_response(band: Interval, delta_t) -> complex:
     delta_t = np.asarray(delta_t, dtype=float)
     out = band.width * np.exp(-2j * np.pi * band.center * delta_t)
     out = out * np.sinc(band.width * delta_t)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-def eps_grid(grid: TimeGrid, band: Interval, window: Interval) -> float:
-    """Documented discretization slack 10*dt*(W + 1/T) for the WT bounds.
-
-    The bound inequalities are continuum statements; on a grid the interval
-    edges quantize to bins, which this conservative slack absorbs.
-    """
-    return 10.0 * grid.dt * (band.width + 1.0 / window.width)
-
-
-def concentration_ratio(s: SampledSignal, band: Interval, window: Interval) -> float:
-    """Conditional-measurement ratio <P_W s, P_T P_W s> / ||P_W s||^2.
-
-    The fraction of the bandlimited part's energy found inside the time
-    window; bounded by min(1, WT + eps_grid).  Rejects inputs with no
-    in-band energy.
-    """
-    sw = band_project(s, band)
-    denom = l2_norm(sw) ** 2
-    if denom <= 1e-24 * l2_norm(s) ** 2:
-        raise ValueError("signal has no energy inside the band")
-    ratio = l2_norm(time_gate(sw, window)) ** 2 / denom
-    limit = min(1.0, band.width * window.width + eps_grid(s.grid, band, window))
-    if not ratio <= limit + 1e-12:
-        raise BoundViolationError(f"concentration {ratio} exceeds bound {limit}")
-    return ratio
+    return complex(out) if out.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=4)
@@ -241,38 +213,66 @@ def operator_norm_sq(grid: TimeGrid, band: Interval, window: Interval) -> float:
     c * E E^H and c * E^H E share their nonzero eigenvalues, so lambda0 is
     the top eigenvalue of the smaller Gram matrix, of dimension min(M, K)
     (M in-band bins, K gated samples).  Equals the squared operator norm
-    ||P_T P_W||^2 and satisfies 0 <= lambda0 <= min(1, WT + eps_grid);
+    ||P_T P_W||^2 and satisfies 0 <= lambda0 <= trace = dt*dw*M*K ~ WT;
     a window holding no sample gives 0.  Cached with the solvers' E.
     """
     return _concentration_operator(grid, band, window).lambda0
+
+
+def _bounded_by_lambda0(ratio: float, op: _ConcentrationOperator, what: str) -> float:
+    """``ratio`` as a float, checked against op.lambda0 to LAMBDA0_TOL.
+
+    Each ratio is a Rayleigh quotient of P_W P_T P_W or P_T P_W P_T (one
+    nonzero spectrum), so one above lambda0 is a numerical fault.
+    """
+    if not ratio <= op.lambda0 + LAMBDA0_TOL:
+        raise BoundViolationError(f"{what} {ratio} exceeds lambda0 = {op.lambda0}")
+    return float(ratio)
+
+
+def concentration_ratio(s: SampledSignal, band: Interval, window: Interval) -> float:
+    """Conditional-measurement ratio <P_W s, P_T P_W s> / ||P_W s||^2.
+
+    The fraction of the bandlimited part's energy inside the window:
+    ||E^H q||^2 / (n ||q||^2), q the in-band bins of one ``ifft`` of s.
+    Rejects inputs with no in-band energy.  A new (grid, band, window)
+    first builds E and lambda0, O(MK min(M, K)) as in operator_norm_sq.
+    """
+    op = _concentration_operator(s.grid, band, window)
+    spec = np.fft.ifft(s.values)
+    q = spec[op.bins]
+    denom = np.vdot(q, q).real
+    if denom <= 1e-24 * np.vdot(spec, spec).real:
+        raise ValueError("signal has no energy inside the band")
+    ratio = np.linalg.norm(q.conj() @ op.e) ** 2 / (s.grid.n * denom)
+    return _bounded_by_lambda0(ratio, op, "concentration")
 
 
 def band_spill_ratio(s_w: SampledSignal, band: Interval, window: Interval) -> float:
     """Out-of-band energy fraction of the gated segment P_T s_W.
 
     For a signal bandlimited to [W], gating to a window of width T forces
-    at least 1 - WT of the segment's energy outside the band:
-    <g|(1-P_W)|g> / <g|g> >= 1 - WT - eps_grid with g = P_T s_W, the
-    complement of :func:`segment_compatibility`.  That spill is precisely
-    what the recovery formulas fold back.
+    at least 1 - lambda0 (lambda0 ~ WT) of the segment's energy outside
+    the band: 1 - :func:`segment_compatibility`, which checks the bound.
+    That spill is precisely what the recovery formulas fold back.
     """
     _require_bandlimited(s_w, band, "input")
-    ratio = 1.0 - segment_compatibility(s_w, window, band)
-    floor = 1.0 - band.width * window.width - eps_grid(s_w.grid, band, window)
-    if not ratio >= floor - 1e-12:
-        raise BoundViolationError(f"spill {ratio} below bound {floor}")
-    return ratio
+    return 1.0 - segment_compatibility(s_w, window, band)
 
 
 def segment_compatibility(r: SampledSignal, window: Interval, band: Interval) -> float:
     """In-band energy fraction of the windowed segment: <r|P_T P_W P_T|r>/<r|P_T|r>.
 
-    A value of 1 (to tolerance) certifies the segment is consistent with
-    the band; since the ratio is bounded by |T|*W, certification is only
-    possible when the segment is longer than 1/W.
+    ||E g||^2 / (n ||g||^2) with g the window's samples: no transform, but
+    a new (grid, band, window) first builds E and lambda0, O(MK min(M, K))
+    as in operator_norm_sq.  A value of 1 (to tolerance) certifies the
+    segment consistent with the band, which lambda0 ~ WT allows only for
+    a segment longer than 1/W.
     """
-    g = time_gate(r, window)
-    denom = l2_norm(g) ** 2
+    op = _concentration_operator(r.grid, band, window)
+    g = r.values[op.gates]
+    denom = np.vdot(g, g).real
     if denom <= 0.0:
         raise ValueError("signal has no energy inside the window")
-    return l2_norm(band_project(g, band)) ** 2 / denom
+    ratio = np.linalg.norm(op.e @ g) ** 2 / (r.grid.n * denom)
+    return _bounded_by_lambda0(ratio, op, "segment compatibility")

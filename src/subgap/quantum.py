@@ -130,6 +130,7 @@ class DensityMatrix:
     tests leave out p = 0, so the bin weight is taken as the smallest
     spacing).  ``grid`` optionally remembers the coordinate grid the matrix
     was built on, letting :func:`rank1_extract` rebuild a wavefunction.
+    A non-finite momentum, element or mass raises ValueError.
     """
 
     p_grid: np.ndarray = field(repr=False)
@@ -140,6 +141,7 @@ class DensityMatrix:
     def __post_init__(self):
         p = np.array(self.p_grid, dtype=float)
         e = np.array(self.elements, dtype=complex)
+        _require_finite(p_grid=p, elements=e, mass=self.mass)
         if p.ndim != 1 or e.shape != (p.size, p.size):
             raise ValueError(
                 f"elements shape {e.shape} does not match p_grid size {p.size}"
@@ -185,9 +187,7 @@ class EvolutionSamples:
             raise ValueError(
                 f"values shape {v.shape} does not match (t, x) = ({t.size}, {x.size})"
             )
-        for name, arr in (("x_points", x), ("t_points", t), ("values", v)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(x_points=x, t_points=t, values=v)
         if v.size and v.min() < -1e-10:
             raise ValueError(
                 f"probability readings must be >= -1e-10, got min {v.min():.3e}"
@@ -214,6 +214,13 @@ class TomographyResult:
     populations_resolved: bool
     psd_projected: bool
     solver: str
+
+
+def _require_finite(**fields):
+    """Raise ValueError naming the first field with a non-finite entry."""
+    for name, arr in fields.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
 
 
 def _conj(obj, kind=SampledSignal):
@@ -261,10 +268,10 @@ def position_gate(psi: WaveFunction, window: Interval) -> WaveFunction:
 def landau_pollak_ratio(psi: WaveFunction, windows: PhaseSpaceWindows) -> float:
     """Conditional probability <psi|P_P P_X P_P|psi> / <psi|P_P|psi>.
 
-    Bounded by min(1, XP + eps_grid): a momentum-limited state cannot
-    concentrate in a coordinate window smaller than the uncertainty limit
-    allows.  The signal-side :func:`concentration_ratio` of conj psi, which
-    raises :class:`BoundViolationError` past that bound.
+    Bounded by lambda0 ~ XP of P_P P_X P_P: a momentum-limited
+    state cannot concentrate in a coordinate window smaller than the
+    uncertainty limit allows.  The signal-side :func:`concentration_ratio`
+    of conj psi, which raises :class:`BoundViolationError` past lambda0.
     """
     return concentration_ratio(_conj(psi), windows.p_band, windows.x_window)
 
@@ -372,10 +379,6 @@ def evolve_diagonal_series(rho: DensityMatrix, x_points, t_points) -> EvolutionS
     return EvolutionSamples(x_points=x, t_points=t, values=rho.bin_weight * vals.real)
 
 
-def _pair_indices(m: int):
-    return [(j, k) for j in range(m) for k in range(j + 1, m)]
-
-
 def tomography_solve(
     samples: EvolutionSamples,
     p_grid,
@@ -414,6 +417,7 @@ def tomography_solve(
     (an (x, t) sampling that fails to separate two pairs).
     """
     p = np.asarray(p_grid, dtype=float)
+    _require_finite(p_grid=p, mass=mass)
     m = p.size
     if m < 2:
         raise ValueError("need at least two momentum bins")
@@ -421,15 +425,13 @@ def tomography_solve(
     dp = float(np.min(np.diff(np.sort(p))))
     if dp <= 0.0:
         raise ValueError("p_grid contains duplicate momenta")
-    x = samples.x_points
-    t = samples.t_points
-    y = samples.values
-    pairs = _pair_indices(m)
+    x, t, y = samples.x_points, samples.t_points, samples.values
     if y.size < m * m:
         raise ValueError(
             f"need at least M^2 = {m * m} samples to determine the matrix, got {y.size}"
         )
     j, k = np.triu_indices(m, 1)
+    pairs = list(zip(j.tolist(), k.tolist()))
     dpj = p[j] - p[k]
     dom = om[j] - om[k]
     u = np.exp(-1j * np.outer(t, dom))
@@ -473,9 +475,8 @@ def tomography_solve(
         if tr > 0.0 and trace > 0.0:
             rho_fit = rho_fit * (trace / tr)
         psd_projected = True
-    rho = DensityMatrix(p_grid=p, elements=rho_fit, mass=mass, grid=grid)
     return TomographyResult(
-        rho=rho,
+        rho=DensityMatrix(p_grid=p, elements=rho_fit, mass=mass, grid=grid),
         condition_number=cond,
         residual=residual,
         populations_resolved=resolved,

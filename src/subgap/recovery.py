@@ -384,14 +384,14 @@ def noise_stability_sweep(
     run.  The amplification err/sigma is bounded by the geometric-series
     constant 1/(1 - sqrt(lambda0)) plus 10% slack; each row carries both,
     so the caller can check them.  ``s_w`` is erased, and so checked for
-    bandlimitedness, once for the whole sweep; a sigma that is not finite
-    raises ValueError.
+    bandlimitedness, once for the whole sweep; a sigma that is negative or
+    not finite raises ValueError.
     """
     report = invertibility_report(s_w.grid, band, window)
     report._require("stability sweep")
     sigmas = [float(sigma) for sigma in noise_levels]
-    if not all(math.isfinite(sigma) for sigma in sigmas):
-        raise ValueError(f"noise levels must be finite, got {sigmas}")
+    if not all(math.isfinite(sigma) and sigma >= 0.0 for sigma in sigmas):
+        raise ValueError(f"noise levels must be finite and >= 0, got {sigmas}")
     bound = 1.1 / (1.0 - math.sqrt(report.lambda0))
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(s_w.grid.n) + 1j * rng.standard_normal(s_w.grid.n)

@@ -26,7 +26,6 @@ from subgap import (
     comb_sample,
     complement_gate,
     default_grid,
-    eps_grid,
     erase,
     evolve_diagonal_series,
     fidelity,
@@ -80,15 +79,14 @@ def _q_state(band=Q_BAND):
 
 
 def test_01_concentration_operator_norm_bounded_below_one(grid):
-    """lambda0 <= WT + eps_grid, dense oracle to 1e-8, trace = WT +- 2%."""
+    """lambda0 <= trace, dense oracle to 1e-8, trace = WT +- 2%."""
     for w, t in SWEEP:
         band, window = Interval(0.0, w), Interval(0.0, t)
         lam = operator_norm_sq(grid, band, window)
-        eps = eps_grid(grid, band, window)
-        assert lam <= w * t + eps, (w, t)
+        trace = float(np.real(np.trace(prolate_matrix(grid, band, window))))
+        assert lam <= trace + 1e-12, (w, t)
         dense = prolate_eigenvalues(grid, band, window)[0]
         assert abs(lam - dense) <= 1e-8, (w, t)
-        trace = float(np.real(np.trace(prolate_matrix(grid, band, window))))
         assert abs(trace - w * t) <= 0.02 * w * t, (w, t)
 
 
@@ -138,12 +136,12 @@ def test_04_recovery_refuses_at_the_uncertainty_limit(grid):
 
 
 def test_05_time_gating_spills_energy_out_of_band(grid):
-    """Erasing [T] pushes at least 1 - WT - eps of the lost energy off band."""
+    """Erasing [T] pushes at least 1 - lambda0 of the lost energy off band."""
     for w, t in SWEEP:
         band, window = Interval(0.0, w), Interval(0.0, t)
         s_w = band_project(make_demo_signal(grid), band)
         spill = band_spill_ratio(s_w, band, window)
-        assert spill >= 1.0 - w * t - eps_grid(grid, band, window), (w, t)
+        assert spill >= 1.0 - operator_norm_sq(grid, band, window), (w, t)
 
 
 def test_06_nyquist_sampling_is_exact_undersampling_aliases(grid):

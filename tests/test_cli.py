@@ -255,7 +255,7 @@ def test_audit_subcommand_and_column_names(tmp_path):
     out = tmp_path / "audit"
     assert main(["audit", "--out", str(out)]) == 0
     lines = (out / "bounds_audit.csv").read_text().strip().split("\n")
-    assert lines[0] == "W,T,WT,lambda0,conc_ratio,spill_ratio,eps_grid,pass"
+    assert lines[0] == "W,T,WT,lambda0,conc_ratio,spill_ratio,pass"
     assert len(lines) == 5
     assert all(line.endswith(",1") for line in lines[1:])
 

@@ -1,10 +1,11 @@
 """One build of the exact-phase basis E per (grid, band, window).
 
-The refusal check, the three gap solvers, ``operator_norm_sq`` and
-``prolate_matrix`` all read E and lambda0 from one memoised record.  These
-tests count the uncached builds behind it, check that the shared record
-cannot carry state from one call into the next, and walk the package's
-syntax tree so E can only be built in one place.
+The refusal check, the three gap solvers, ``operator_norm_sq``,
+``prolate_matrix`` and the concentration ratios all read E and lambda0
+from one memoised record.  These tests count the uncached builds behind
+it, check that the shared record cannot carry state from one call into
+the next, and walk the package's syntax tree so E can only be built in
+one place.
 """
 
 import ast
@@ -70,12 +71,14 @@ def test_report_and_three_solvers_build_e_once(builds, grid, random_bandlimited)
 
 
 @pytest.mark.parametrize(
-    "kind,expected", [("recovery", 1), ("stability", 1), ("bounds_audit", 4)]
+    "kind,expected",
+    [("recovery", 1), ("stability", 1), ("bounds_audit", 4), ("quantum_pipeline", 1)],
 )
 def test_default_runs_build_e_once_per_window(builds, tmp_path, kind, expected):
     # recovery: one report and three solvers; stability: one report and a
-    # solve per sigma; bounds_audit: operator_norm_sq and prolate_matrix on
-    # each of its four (W, T) pairs
+    # solve per sigma; bounds_audit: operator_norm_sq, prolate_matrix and
+    # both ratios on each of its four (W, T) pairs; quantum_pipeline: the
+    # window probability, its cap and recover_state
     EXPERIMENTS[kind](tmp_path)
     assert len(builds) == expected
 

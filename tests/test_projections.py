@@ -1,9 +1,11 @@
 """Projector algebra, the concentration operator, and its bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-import subgap.projections
+from subgap import projections
 from subgap import (
     BoundViolationError,
     Interval,
@@ -15,7 +17,6 @@ from subgap import (
     band_spill_ratio,
     complement_gate,
     concentration_ratio,
-    eps_grid,
     forward_spectrum,
     inner_product,
     inverse_signal,
@@ -137,9 +138,9 @@ def test_smear_response_matches_quadrature():
 def test_operator_norm_bound_and_dense_agreement(grid, w, t):
     band = Interval(0.0, w)
     window = Interval(0.0, t)
-    wt = w * t
     lam = operator_norm_sq(grid, band, window)
-    assert 0.0 <= lam <= min(1.0, wt + eps_grid(grid, band, window))
+    trace = float(np.real(np.trace(prolate_matrix(grid, band, window))))
+    assert 0.0 <= lam <= min(1.0, trace + 1e-12)
     evals = prolate_eigenvalues(grid, band, window)
     assert abs(lam - evals[0]) <= 1e-8
     # the whole spectrum sits in [0, 1] up to round-off
@@ -185,7 +186,7 @@ def test_gated_energy_bounded_by_operator_norm(grid, band):
 def test_concentration_ratio_bounded(grid, w, t, random_bandlimited):
     band = Interval(0.0, w)
     window = Interval(0.0, t)
-    cap = min(1.0, w * t + eps_grid(grid, band, window))
+    cap = operator_norm_sq(grid, band, window)
     for seed in range(3):
         s = random_bandlimited(band, seed)
         ratio = concentration_ratio(s, band, window)
@@ -205,16 +206,19 @@ def test_concentration_rejects_out_of_band_signal(grid):
 def test_band_spill_floor(grid, w, t, random_bandlimited):
     band = Interval(0.0, w)
     window = Interval(0.0, t)
-    floor = 1.0 - w * t - eps_grid(grid, band, window)
+    floor = 1.0 - operator_norm_sq(grid, band, window)
     for seed in range(3):
         spill = band_spill_ratio(random_bandlimited(band, 20 + seed), band, window)
         assert floor <= spill <= 1.0 + 1e-12
 
 
 def test_broken_bounds_raise_typed_errors(grid, band, s_w, monkeypatch):
-    # a negative grid slack makes both bounds unsatisfiable
-    monkeypatch.setattr(subgap.projections, "eps_grid", lambda *args: -1.0)
+    # a lambda0 of 0 makes both bounds unsatisfiable
     window = Interval(0.0, 0.25)
+    op = dataclasses.replace(
+        projections._concentration_operator(grid, band, window), lambda0=0.0
+    )
+    monkeypatch.setattr(projections, "_concentration_operator", lambda *args: op)
     with pytest.raises(BoundViolationError):
         concentration_ratio(s_w, band, window)
     with pytest.raises(BoundViolationError):
@@ -235,7 +239,7 @@ def test_band_spill_rejects_non_finite_input(grid, band, s_w):
 
 def test_segment_compatibility_bounded(grid, band):
     window = Interval(0.0, 0.25)
-    cap = min(1.0, 0.5 + eps_grid(grid, band, window))
+    cap = operator_norm_sq(grid, band, window)
     for seed in range(3):
         r = time_gate(_random_signal(grid, 30 + seed), window)
         assert segment_compatibility(r, window, band) <= cap
@@ -247,8 +251,19 @@ def test_subsample_window_gives_zero_norm(grid):
     assert operator_norm_sq(grid, Interval(0.0, 2.0), tiny) == 0.0
 
 
-def test_eps_grid_formula(grid, band):
+def test_ratios_read_the_cached_operator(grid, band, s_w, monkeypatch):
+    # the concentration ratio takes one inverse FFT, the segment ratio none
     window = Interval(0.0, 0.25)
-    assert eps_grid(grid, band, window) == pytest.approx(
-        10.0 * grid.dt * (band.width + 1.0 / window.width)
-    )
+    calls = []
+    for name in ("fft", "ifft"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    segment_compatibility(s_w, window, band)
+    assert calls == []
+    concentration_ratio(s_w, band, window)
+    assert calls == ["ifft"]

@@ -1,5 +1,6 @@
 """Momentum-limited states: gating, smoothing, tomography, recovery."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import subgap.projections
+from subgap import projections
 from subgap.quantum import DESIGN_COND_LIMIT, GRAM_COND_LIMIT
+from subgap.experiments import run_quantum_pipeline
 from subgap import (
     BoundViolationError,
     DegenerateDesignError,
@@ -24,7 +26,6 @@ from subgap import (
     WaveFunction,
     build_density,
     default_grid,
-    eps_grid,
     evolve_diagonal_series,
     fidelity,
     gate_state,
@@ -33,6 +34,7 @@ from subgap import (
     momentum_limit,
     momentum_smooth,
     momentum_spectrum,
+    operator_norm_sq,
     position_gate,
     position_wave,
     rank1_extract,
@@ -118,7 +120,7 @@ def test_window_probability_bounded_by_xp(qgrid, p, x):
     windows = PhaseSpaceWindows(x_window=Interval(0.0, x), p_band=Interval(0.0, p))
     psi = _state(qgrid, windows.p_band)
     ratio = landau_pollak_ratio(psi, windows)
-    cap = min(1.0, p * x + eps_grid(qgrid, windows.p_band, windows.x_window))
+    cap = operator_norm_sq(qgrid, windows.p_band, windows.x_window)
     assert 0.0 <= ratio <= cap
 
 
@@ -131,11 +133,36 @@ def test_window_probability_needs_band_energy(qgrid):
 
 
 def test_window_probability_above_its_bound_raises(qgrid, monkeypatch):
-    # a negative grid slack pushes the bound below any attainable ratio
-    monkeypatch.setattr(subgap.projections, "eps_grid", lambda *args: -1.0)
+    # a lambda0 of 0 pushes the bound below any attainable ratio
     windows = PhaseSpaceWindows(Interval(0.0, 0.5), P_BAND)
+    op = dataclasses.replace(
+        projections._concentration_operator(qgrid, P_BAND, windows.x_window),
+        lambda0=0.0,
+    )
+    monkeypatch.setattr(projections, "_concentration_operator", lambda *args: op)
     with pytest.raises(BoundViolationError):
         landau_pollak_ratio(_state(qgrid), windows)
+
+
+def test_ratio_within_the_guard_slack_passes_the_pipeline_check(
+    qgrid, monkeypatch, tmp_path
+):
+    # the guard and the report check share one slack: a ratio just above a
+    # lowered lambda0, which the guard accepts, must not fail the report
+    ratio = run_quantum_pipeline(tmp_path / "a")["metrics"]["window_probability"]
+    key = (qgrid, P_BAND, Interval(0.0, 0.5))
+    build = projections._concentration_operator
+    op = dataclasses.replace(
+        build(*key), lambda0=ratio - 0.5 * projections.LAMBDA0_TOL
+    )
+    monkeypatch.setattr(
+        projections,
+        "_concentration_operator",
+        lambda *args: op if args == key else build(*args),
+    )
+    report = run_quantum_pipeline(tmp_path / "b")
+    assert report["metrics"]["window_probability"] > op.lambda0
+    assert report["passed"], [c for c in report["checks"] if not c["passed"]]
 
 
 def test_gate_state_vanishes_on_window_and_spills(qgrid):
@@ -151,7 +178,7 @@ def test_gate_state_vanishes_on_window_and_spills(qgrid):
         qgrid, raw - momentum_limit(WaveFunction(qgrid, raw), P_BAND).values
     )
     win = wf_norm(position_gate(psi, windows.x_window)) ** 2
-    floor = 1.0 - windows.xp - eps_grid(qgrid, P_BAND, windows.x_window)
+    floor = 1.0 - operator_norm_sq(qgrid, P_BAND, windows.x_window)
     assert wf_norm(out) ** 2 / win >= floor
 
 
@@ -327,6 +354,25 @@ def test_evolution_samples_reject_non_finite_readings(qgrid, field, bad):
     parts[field][1] = bad
     with pytest.raises(ValueError, match=field):
         EvolutionSamples(**parts)
+
+
+@pytest.mark.parametrize("field", ["p_grid", "elements", "mass"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_and_tomography_reject_non_finite_input(qgrid, field, bad):
+    # a NaN element used to surface as a BoundViolationError from
+    # evolve_diagonal_series, and a NaN momentum as a LinAlgError from eigh
+    rho = _random_pure_density(qgrid, 40)
+    samples = evolve_diagonal_series(rho, np.linspace(-3.0, 3.0, 8), np.linspace(0.0, 50.0, 8))
+    parts = {"p_grid": rho.p_grid.copy(), "elements": rho.elements.copy(), "mass": 1.0}
+    if field == "mass":
+        parts["mass"] = bad
+    else:
+        parts[field][1] = bad
+    with pytest.raises(ValueError, match=field):
+        DensityMatrix(**parts)
+    if field != "elements":
+        with pytest.raises(ValueError, match=field):
+            tomography_solve(samples, parts["p_grid"], mass=parts["mass"])
 
 
 def _sample_points(qgrid, seed, n_x=16, n_t=16, t_max=500.0):

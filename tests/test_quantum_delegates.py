@@ -14,12 +14,13 @@ import subgap.quantum
 
 TREE = ast.parse(Path(subgap.quantum.__file__).read_text(encoding="utf-8"))
 
-#: the free-evolution and tomography code, which has no signal-side twin
+#: the free-evolution and tomography code, which has no signal-side twin,
+#: and the finiteness check of its inputs
 LOOPS_ALLOWED = {
     "EvolutionSamples",
     "evolve_diagonal_series",
     "tomography_solve",
-    "_pair_indices",
+    "_require_finite",
     "_degenerate_pairs",
     "_complete_populations",
 }

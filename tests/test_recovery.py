@@ -478,7 +478,7 @@ def test_stability_run_erases_once(tmp_path, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("first", [True, False])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3])
 def test_stability_sweep_rejects_a_non_finite_sigma(band, s_w, bad, first):
     sigmas = (bad, 1e-4) if first else (1e-4, bad)
     with pytest.raises(ValueError, match="finite"):

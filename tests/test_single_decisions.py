@@ -1,9 +1,9 @@
 """Each guard and export list is written once and shared by every caller.
 
-The bandlimit check, the refusal wording of an invertibility report and
-the package's export lists each used to be copied into several modules,
-where one copy could drift from the others.  These walk the syntax trees
-and fail when a second copy appears.
+The bandlimit check, the concentration bound, the refusal wording of an
+invertibility report and the package's export lists each used to be
+copied into several places, where one copy could drift from the others.
+These walk the syntax trees and fail when a second copy appears.
 """
 
 import ast
@@ -42,6 +42,12 @@ def test_not_bandlimited_error_is_raised_by_one_guard():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         sites += [(path.stem, fn) for _, fn, _ in _sites(tree, "NotBandlimitedError")]
     assert sites == [("projections", "_require_bandlimited")]
+
+
+def test_concentration_bound_is_checked_by_one_guard():
+    tree = ast.parse(Path(projections.__file__).read_text(encoding="utf-8"))
+    sites = [fn for _, fn, _ in _sites(tree, "BoundViolationError")]
+    assert sites == ["_bounded_by_lambda0"]
 
 
 def test_recovery_refusals_come_from_the_report_or_the_dimension_guard():
