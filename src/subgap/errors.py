@@ -29,8 +29,15 @@ class RefusalError(SubgapError, RuntimeError):
 
     The message carries the measured quantities (WT and the largest
     eigenvalue lambda0, the in-band dimension, or a tomography design's
-    condition number) so the caller can see why.
+    condition number) so the caller can see why.  ``report`` is the failed
+    InvertibilityReport of a refusal at the uncertainty limit, which only
+    its ``_require`` raises, worded ``refusing <stage>: <report.reason>``;
+    it is None for every other guard.
     """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NonConvergenceError(SubgapError, RuntimeError):

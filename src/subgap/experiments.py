@@ -65,6 +65,7 @@ from .quantum import (
     wf_norm,
 )
 from .recovery import (
+    LAMBDA_MARGIN,
     ErasureModel,
     erase,
     invertibility_report,
@@ -135,6 +136,20 @@ def _at_most(checks, name, value, limit):
 
 def _at_least(checks, name, value, limit):
     _check(checks, name, value >= limit, value, limit)
+
+
+def _limit_refusal(checks, report, label, product, what, refused=True):
+    """Check a refusal by ``report`` against the run's own W*T (or X*P),
+    ``product``: it passes when ``refused`` and either the product is at
+    least 1 or lambda0 is within LAMBDA_MARGIN of 1, so a refusal below
+    the limit fails the run."""
+    _check(
+        checks,
+        "refusal_consistent_with_limit",
+        refused and (product >= 1.0 or report.lambda0 > 1.0 - LAMBDA_MARGIN),
+        {label: product, "lambda0": report.lambda0, "reason": report.reason},
+        f"{what} only when {label} >= 1 or lambda0 > 1 - {LAMBDA_MARGIN:g}",
+    )
 
 
 def _echo(schema, value):
@@ -448,25 +463,14 @@ def run_recovery(
         "invertible": inv.invertible,
     }
     if rec.refused:
-        direct_refused = False
         try:
             recover_direct(r, band, window)
         except RefusalError as exc:
-            direct_refused = True
             metrics["direct_refusal"] = str(exc)
-        _check(
-            checks,
-            "refusal_consistent_with_limit",
-            (not inv.invertible)
-            and rec.refused
-            and rec_band.refused
-            and direct_refused
-            and rec.recovered is None
-            and rec_band.recovered is None,
-            {"WT": inv.wt, "reason": rec.reason},
-            "all solvers refuse, no output signal, only when WT >= 1 "
-            "or lambda0 is at 1",
-        )
+        no_output = rec.recovered is None and rec_band.recovered is None
+        refused = rec_band.refused and "direct_refusal" in metrics and no_output
+        what = "all solvers refuse, no output signal,"
+        _limit_refusal(checks, inv, "WT", w * t_ds, what, refused)
         return checks, metrics, []
 
     direct = recover_direct(r, band, window)
@@ -547,14 +551,8 @@ def run_stability(
     try:
         rows = noise_stability_sweep(s_w, band, window, sigmas, seed=seed)
     except RefusalError as exc:
-        inv = invertibility_report(grid, band, window)
-        _check(
-            checks,
-            "refusal_consistent_with_limit",
-            not inv.invertible,
-            {"WT": inv.wt, "reason": str(exc)},
-            "the sweep refuses only when WT >= 1 or lambda0 is at 1",
-        )
+        inv = exc.report
+        _limit_refusal(checks, inv, "WT", w * t_ds, "the sweep refuses")
         metrics = {"WT": inv.wt, "lambda0": inv.lambda0, "invertible": inv.invertible}
         return checks, metrics, []
     for row in rows:
@@ -741,13 +739,7 @@ def run_quantum_pipeline(
         psi_rec = recover_state(psi_extract, windows)
     except RefusalError as exc:
         metrics["recovery_refusal"] = str(exc)
-        _check(
-            checks,
-            "refusal_consistent_with_limit",
-            not invertibility_report(grid, windows.p_band, windows.x_window).invertible,
-            {"XP": windows.xp, "reason": str(exc)},
-            "state recovery refuses only when XP >= 1 or lambda0 is at 1",
-        )
+        _limit_refusal(checks, exc.report, "XP", x * p, "state recovery refuses")
         return checks, metrics, []
     fid = fidelity(psi_rec, psi_p)
     metrics["pipeline_fidelity"] = fid

@@ -235,13 +235,15 @@ def concentration_ratio(s: SampledSignal, band: Interval, window: Interval) -> f
 
     The fraction of the bandlimited part's energy inside the window:
     ||E^H q||^2 / (n ||q||^2), q the in-band bins of one ``ifft`` of s.
-    Rejects inputs with no in-band energy.  A new (grid, band, window)
-    first builds E and lambda0, O(MK min(M, K)) as in operator_norm_sq.
+    Rejects non-finite input and input with no in-band energy.  A new
+    (grid, band, window) first builds E and lambda0, O(MK min(M, K)).
     """
     op = _concentration_operator(s.grid, band, window)
     spec = np.fft.ifft(s.values)
     q = spec[op.bins]
     denom = np.vdot(q, q).real
+    if not math.isfinite(denom):
+        raise ValueError(f"in-band energy of the signal is not finite: {denom}")
     if denom <= 1e-24 * np.vdot(spec, spec).real:
         raise ValueError("signal has no energy inside the band")
     ratio = np.linalg.norm(q.conj() @ op.e) ** 2 / (s.grid.n * denom)
@@ -267,11 +269,13 @@ def segment_compatibility(r: SampledSignal, window: Interval, band: Interval) ->
     a new (grid, band, window) first builds E and lambda0, O(MK min(M, K))
     as in operator_norm_sq.  A value of 1 (to tolerance) certifies the
     segment consistent with the band, which lambda0 ~ WT allows only for
-    a segment longer than 1/W.
+    a segment longer than 1/W.  Non-finite window samples raise ValueError.
     """
     op = _concentration_operator(r.grid, band, window)
     g = r.values[op.gates]
     denom = np.vdot(g, g).real
+    if not math.isfinite(denom):
+        raise ValueError(f"window energy of the signal is not finite: {denom}")
     if denom <= 0.0:
         raise ValueError("signal has no energy inside the window")
     ratio = np.linalg.norm(op.e @ g) ** 2 / (r.grid.n * denom)

@@ -56,7 +56,7 @@ from .projections import (
     concentration_ratio,
     time_gate,
 )
-from .recovery import recover_band_neumann
+from .recovery import invertibility_report, recover_band_neumann
 
 __all__ = [
     "WaveFunction",
@@ -318,17 +318,15 @@ def recover_state(
     as the band and [X] as the window, normalized at the end (the scale
     lost to gating is a normalization constant).  The map is linear
     before that, so a global phase on the input reappears on the output.
-    Raises RefusalError when the invertibility report fails (XP >= 1 or
-    lambda0 > 1 - 1e-6), and NonConvergenceError when the series stops
-    before its relative update falls below ``tol``.
+    Raises RefusalError from the invertibility report (XP >= 1, reported
+    as WT, or lambda0 > 1 - 1e-6), and NonConvergenceError when the
+    series stops before its relative update falls below ``tol``.
     """
+    report = invertibility_report(psi_m_projected.grid, windows.p_band, windows.x_window)
+    report._require("state recovery")
     rep = recover_band_neumann(
         _conj(psi_m_projected), windows.p_band, windows.x_window, tol, k_max
     )
-    if rep.refused:
-        raise RefusalError(
-            f"state recovery needs XP < 1 (reported as WT); {rep.reason}"
-        )
     if not rep.converged:
         raise NonConvergenceError(f"state recovery stopped: {rep.reason}")
     x = rep.recovered

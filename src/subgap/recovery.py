@@ -97,11 +97,10 @@ class InvertibilityReport:
         )
 
     def _require(self, what: str):
-        """Raise RefusalError naming ``what`` unless the gap is invertible."""
+        """Unless the gap is invertible, raise RefusalError naming ``what``
+        with :attr:`reason`, and carrying this report as ``exc.report``."""
         if not self.invertible:
-            raise RefusalError(
-                f"refusing {what}: WT={self.wt:.6g}, lambda0={self.lambda0:.6g}"
-            )
+            raise RefusalError(f"refusing {what}: {self.reason}", report=self)
 
 
 @dataclass(frozen=True)

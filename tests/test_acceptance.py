@@ -32,6 +32,7 @@ from subgap import (
     forward_spectrum,
     gate_state,
     inverse_signal,
+    invertibility_report,
     l2_norm,
     make_demo_signal,
     momentum_limit,
@@ -131,8 +132,9 @@ def test_04_recovery_refuses_at_the_uncertainty_limit(grid):
         assert report.refused
         assert report.recovered is None
         assert "WT" in report.reason
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError) as info:
         recover_direct(r, BAND, window)
+    assert info.value.report == invertibility_report(grid, BAND, window)
 
 
 def test_05_time_gating_spills_energy_out_of_band(grid):

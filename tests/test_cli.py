@@ -1,5 +1,6 @@
 """Config validation and the subgap command line."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from subgap import ConfigError, default_grid
+from subgap import ConfigError, default_grid, recovery
 from subgap.cli import OUTDIR_ENV, SCHEMAS, main, resolve_outdir, validate_config
 from subgap.experiments import EXPERIMENTS, SPECS, default_quantum_grid
 
@@ -260,16 +261,32 @@ def test_audit_subcommand_and_column_names(tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
-@pytest.mark.parametrize("kind", ["quantum_pipeline", "recovery", "stability"])
-def test_runs_are_byte_identical(tmp_path, kind):
+#: one config past the limit per kind with a refusal branch
+PAST_THE_LIMIT = {
+    "recovery": {"T_DS": 1.0},
+    "stability": {"T_DS": 0.5},
+    "quantum_pipeline": {"X": 1.25},
+}
+
+
+@pytest.mark.parametrize(
+    "kind,past",
+    [pytest.param(kind, False, id=kind) for kind in sorted(PAST_THE_LIMIT)]
+    + [pytest.param(kind, True, id=f"{kind}-past") for kind in sorted(PAST_THE_LIMIT)],
+)
+def test_runs_are_byte_identical(tmp_path, kind, past):
     # the second run starts with the concentration operator of the first
     # one's last (grid, band, window) still memoised
-    cfg = _write_cfg(tmp_path, dict(MINIMAL[kind], seed=7))
+    overrides = PAST_THE_LIMIT[kind] if past else {}
+    cfg = _write_cfg(tmp_path, dict(MINIMAL[kind], seed=7, **overrides))
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert main(["run", str(cfg), "--out", str(out1)]) == 0
     assert main(["run", str(cfg), "--out", str(out2)]) == 0
     names = sorted(p.name for p in out1.iterdir() if p.name != "report.json")
-    assert any(name.endswith(".csv") for name in names), "expected CSV artifacts"
+    if past:  # a refusing run writes its report alone
+        assert names == []
+    else:
+        assert any(name.endswith(".csv") for name in names), "expected CSV artifacts"
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     reports = [json.loads((out / "report.json").read_text()) for out in (out1, out2)]
@@ -293,6 +310,30 @@ def test_run_past_the_limit_records_the_refusal(tmp_path, cfg, stage):
     refusal = [c for c in report["checks"] if c["name"] == "refusal_consistent_with_limit"]
     assert len(refusal) == 1 and refusal[0]["passed"]
     assert stage in refusal[0]["threshold"]
+
+
+def test_refusal_below_the_limit_fails_the_run(tmp_path, monkeypatch):
+    # a guard that refuses at WT = 0.5 must not pass its own check: the
+    # check compares the run's own W*T (X*P) with 1, not the guard's verdict
+    real_report = recovery._report
+
+    def over_strict(band, window, lam):
+        rep = real_report(band, window, lam)
+        if rep.wt < 0.5:
+            return rep
+        return dataclasses.replace(rep, wt_ok=False, invertible=False)
+
+    monkeypatch.setattr(recovery, "_report", over_strict)
+    runs = {
+        "recovery": dict(w=2.0, t_ds=0.25),
+        "stability": dict(w=2.0, t_ds=0.25),
+        "quantum_pipeline": dict(p=1.0, x=0.5),
+    }
+    for kind, params in runs.items():
+        got = EXPERIMENTS[kind](tmp_path / kind, **params)
+        assert got["passed"] is False, kind
+        check = [c for c in got["checks"] if c["name"] == "refusal_consistent_with_limit"]
+        assert len(check) == 1 and check[0]["passed"] is False, kind
 
 
 def test_direct_solve_runs_with_more_than_4096_in_band_bins(tmp_path):

@@ -10,9 +10,11 @@ from subgap import (
     BoundViolationError,
     Interval,
     NotBandlimitedError,
+    PhaseSpaceWindows,
     SampledSignal,
     Spectrum,
     TimeGrid,
+    WaveFunction,
     band_project,
     band_spill_ratio,
     complement_gate,
@@ -21,6 +23,7 @@ from subgap import (
     inner_product,
     inverse_signal,
     l2_norm,
+    landau_pollak_ratio,
     make_demo_signal,
     operator_norm_sq,
     out_of_band_fraction,
@@ -235,6 +238,31 @@ def test_band_spill_rejects_non_finite_input(grid, band, s_w):
     vals[0] = np.nan
     with pytest.raises(NotBandlimitedError):
         band_spill_ratio(SampledSignal(grid, vals), band, Interval(0.0, 0.25))
+
+
+# index 2043 lies inside the window [-1/8, 1/8) of the default grid, 10 outside
+NON_FINITE_RATIOS = {
+    "concentration": concentration_ratio,
+    "landau_pollak": lambda s, band, window: landau_pollak_ratio(
+        WaveFunction(s.grid, np.conj(s.values)), PhaseSpaceWindows(window, band)
+    ),
+    "segment": lambda s, band, window: segment_compatibility(s, window, band),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "ratio,index",
+    [("concentration", 10), ("concentration", 2043), ("landau_pollak", 10),
+     ("landau_pollak", 2043), ("segment", 2043)],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_concentration_ratios_reject_non_finite_input(grid, band, s_w, ratio, index, bad):
+    # bad input, not a broken bound: ValueError before BoundViolationError
+    vals = s_w.values.copy()
+    vals[index] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        NON_FINITE_RATIOS[ratio](SampledSignal(grid, vals), band, Interval(0.0, 0.25))
 
 
 def test_segment_compatibility_bounded(grid, band):

@@ -244,8 +244,11 @@ def test_recover_state_is_phase_covariant(qgrid):
 def test_recover_state_refuses_at_the_limit(qgrid):
     windows = PhaseSpaceWindows(Interval(0.0, 1.0), Interval(0.0, 1.0))
     psi = _state(qgrid)
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError) as info:
         recover_state(psi, windows)
+    report = invertibility_report(qgrid, windows.p_band, windows.x_window)
+    assert info.value.report == report
+    assert str(info.value) == f"refusing state recovery: {report.reason}"
 
 
 def test_recover_state_raises_when_the_series_is_cut_short(qgrid):
@@ -413,6 +416,7 @@ def test_tomography_refuses_unseparating_samples(qgrid):
     with pytest.raises(DegenerateDesignError) as info:
         tomography_solve(samples, rho.p_grid, grid=qgrid)
     assert len(info.value.pairs) > 0
+    assert info.value.report is None
 
 
 def test_tomography_diagonal_truth(qgrid):
@@ -456,8 +460,9 @@ def test_rank1_extract_refuses_mixed_states(qgrid):
         elements=0.5 * a.elements + 0.5 * b.elements,
         grid=qgrid,
     )
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError) as info:
         rank1_extract(mixed)
+    assert info.value.report is None
 
 
 def test_fidelity_is_phase_free(qgrid):

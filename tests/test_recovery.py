@@ -165,8 +165,10 @@ def test_all_solvers_refuse_past_the_limit(grid, band, s_w):
         assert rec.refused and rec.recovered is None
         assert not rec.converged
         assert "WT" in rec.reason
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError) as info:
         recover_direct(r, band, window)
+    assert info.value.report == invertibility_report(grid, band, window)
+    assert str(info.value) == f"refusing direct solve: {rec.reason}"
 
 
 def test_lambda0_margin_refuses_below_wt_one():
@@ -234,8 +236,12 @@ def test_noise_amplification_bounded(grid, band, s_w):
 
 
 def test_stability_sweep_refuses_past_the_limit(band, s_w):
-    with pytest.raises(RefusalError):
-        noise_stability_sweep(s_w, band, Interval(0.0, 1.0), (1e-4,))
+    window = Interval(0.0, 1.0)
+    with pytest.raises(RefusalError) as info:
+        noise_stability_sweep(s_w, band, window, (1e-4,))
+    report = invertibility_report(s_w.grid, band, window)
+    assert info.value.report == report
+    assert str(info.value) == f"refusing stability sweep: {report.reason}"
 
 
 @given(
@@ -493,5 +499,6 @@ def test_direct_solve_bounds_the_solved_dimension(band, s_w, monkeypatch):
     err = recover_direct(r, band, WINDOW).values - s_w.values
     assert np.max(np.abs(err)) <= 1e-8
     monkeypatch.setattr(recovery, "DIRECT_SOLVE_DIM_LIMIT", 15)
-    with pytest.raises(RefusalError, match="min\\(M, K\\) = 16 exceeds 15"):
+    with pytest.raises(RefusalError, match="min\\(M, K\\) = 16 exceeds 15") as info:
         recover_direct(r, band, WINDOW)
+    assert info.value.report is None

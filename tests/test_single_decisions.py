@@ -1,16 +1,17 @@
 """Each guard and export list is written once and shared by every caller.
 
 The bandlimit check, the concentration bound, the refusal wording of an
-invertibility report and the package's export lists each used to be
-copied into several places, where one copy could drift from the others.
-These walk the syntax trees and fail when a second copy appears.
+invertibility report, the report check of a refusal and the package's
+export lists each used to be copied into several places, where one copy
+could drift from the others.  These walk the syntax trees and fail when a
+second copy appears.
 """
 
 import ast
 from pathlib import Path
 
 import subgap
-from subgap import core, errors, projections, quantum, recovery, sampling
+from subgap import core, errors, experiments, projections, quantum, recovery, sampling
 
 SOURCES = sorted(Path(subgap.__file__).parent.glob("*.py"))
 
@@ -50,16 +51,37 @@ def test_concentration_bound_is_checked_by_one_guard():
     assert sites == ["_bounded_by_lambda0"]
 
 
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
 def test_recovery_refusals_come_from_the_report_or_the_dimension_guard():
-    tree = ast.parse(Path(recovery.__file__).read_text(encoding="utf-8"))
-    sites = _sites(tree, "RefusalError")
+    # a refusal at the limit is worded and raised by the report alone;
+    # recover_state refuses through it, so quantum keeps only rank1_extract
+    sites = _sites(_tree(recovery), "RefusalError")
     in_report = [fn for top, fn, _ in sites if top == "InvertibilityReport"]
     others = [(top, call) for top, _, call in sites if top != "InvertibilityReport"]
-    assert len(in_report) == 1
+    assert in_report == ["_require"]
     assert len(others) == 1
     top, call = others[0]
     names = {n.id for n in ast.walk(call) if isinstance(n, ast.Name)}
     assert top == "recover_direct" and "DIRECT_SOLVE_DIM_LIMIT" in names
+    assert [top for top, _, _ in _sites(_tree(quantum), "RefusalError")] == [
+        "rank1_extract"
+    ]
+
+
+def test_refusals_are_recorded_by_one_check():
+    # one helper writes the check, and no handler asks the guard again
+    text = "".join(path.read_text(encoding="utf-8") for path in SOURCES)
+    assert text.count('"refusal_consistent_with_limit"') == 1
+    handlers = [
+        node for node in ast.walk(_tree(experiments))
+        if isinstance(node, ast.ExceptHandler)
+    ]
+    assert handlers
+    for handler in handlers:
+        assert not _sites(handler, "invertibility_report"), ast.unparse(handler)
 
 
 def test_no_name_is_exported_by_two_modules():
