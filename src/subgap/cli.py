@@ -15,8 +15,10 @@ finally ``./out``.  Exit status is 0 when every check in the run's report
 passed and 1 when one failed.  A config error exits with status 2 and a
 diagnostic: the field the schema rejects or that is NaN or infinite, or the
 runner's ``ValueError`` for a config that does not fit the grid (a band past
-Nyquist, a window outside the grid, a sampling period off its lattice, fewer
-tomography samples than M^2) or, in ``fig2``, a ``T_DS`` list without ``T_SN``.
+Nyquist, a window outside the grid, a sampling period off its lattice, a copy
+order ``k_max`` past T_SN/(2 dt), a grid without t = 0 as a point in
+``sampling`` or ``fig2``, fewer tomography samples than M^2) or, in ``fig2``, a
+``T_DS`` list without ``T_SN``.
 """
 
 from __future__ import annotations

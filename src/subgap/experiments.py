@@ -231,16 +231,20 @@ def _gap_window(t_sn: float, t_ds: float, dt: float) -> Interval:
 def _copy_errors(checks, r, s_hat, band, t_sn, t_ds, k_max):
     """L2 band error of the copy-sum recovery of ``r`` for k = 0..k_max.
 
-    Checks that the error decreases strictly in k; returns the errors and
-    the k_max spectrum.
+    Checks that the error decreases strictly in k, and that the sum at the
+    full order k = t_sn/(2 dt) equals s_hat on the band to 1e-12 relative;
+    returns the errors and the k_max spectrum.
     """
     in_band = band.mask(s_hat.grid.frequencies)
-    errs = []
-    for k in range(k_max + 1):
+
+    def band_error(k):
         cfg = SpectralCopyConfig(band=band, t_sn=t_sn, t_ds=t_ds, k_max=k)
         spectrum = spectral_copy_recover(r, cfg).spectrum
         diff = spectrum.values[in_band] - s_hat.values[in_band]
-        errs.append(float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(diff) ** 2))))
+        return float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(diff) ** 2))), spectrum
+
+    runs = [band_error(k) for k in range(k_max + 1)]
+    errs = [err for err, _ in runs]
     _check(
         checks,
         "copy_sum_error_decreases",
@@ -248,7 +252,10 @@ def _copy_errors(checks, r, s_hat, band, t_sn, t_ds, k_max):
         errs,
         "L2 band error strictly decreasing in k_max",
     )
-    return errs, spectrum
+    full = round(t_sn / s_hat.grid.time_grid.dt) // 2
+    s_norm = float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(s_hat.values[in_band]) ** 2)))
+    _at_most(checks, "copy_sum_exact_at_full_order", band_error(full)[0] / s_norm, 1e-12)
+    return errs, runs[-1][1]
 
 
 @_experiment(

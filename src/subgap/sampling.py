@@ -10,12 +10,16 @@ restriction of
 
     s_hat(w) = r_hat(w) + sum_{k>=1} [r_hat(w - k/T) + r_hat(w + k/T)]
 
-recovers s_hat exactly as the sum extends, provided r agrees with s at
-every sample instant (the erased gap must sit strictly between samples).
+recovers s_hat, provided r agrees with s at every sample instant (the
+erased gap must sit strictly between samples).  On a grid with t = 0 as a
+grid point the spectrum is periodic, the copies are cyclic shifts, and the
+sum is exact once it reaches k = T/(2 dt): it then equals the periodized
+spectrum of the samples, which is s_hat on the band.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +53,8 @@ __all__ = [
 def _aligned(value: float, step: float) -> int | None:
     """Integer ratio value/step, or None if not integral to 1e-9 relative."""
     ratio = value / step
+    if not math.isfinite(ratio):
+        return None
     nearest = round(ratio)
     if abs(ratio - nearest) > 1e-9 * max(1.0, abs(ratio)):
         return None
@@ -61,6 +67,14 @@ def _multiple(what: str, value: float, step: float) -> int:
     if ratio is None or ratio < 1:
         raise ValueError(f"{what} {value} is not an integer multiple of {step}")
     return ratio
+
+
+def _origin(grid: TimeGrid) -> int:
+    """Index of t = 0 on ``grid``, possibly outside 0..n-1; ValueError if none."""
+    i0 = _aligned(-grid.t_start, grid.dt)
+    if i0 is None:
+        raise ValueError(f"t=0 is not a grid point of {grid}; the comb is anchored at 0")
+    return i0
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +91,8 @@ class CombSamples:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"period must be finite and > 0, got {self.period}")
         offsets = np.array(self.offsets, dtype=int)
         values = np.array(self.values, dtype=complex)
         if offsets.shape != values.shape or offsets.ndim != 1:
@@ -100,13 +114,14 @@ class SpectralCopyConfig:
 
     ``t_sn`` is the sampling period, ``t_ds`` the width of the erased gap;
     both must stay below 1/W (equality of the two is allowed then), and
-    copies are summed for shifts k = 1..k_max.
+    copies are summed for shifts k = 1..k_max, an int of at most
+    t_sn/(2 dt) on a grid of spacing dt, where the sum is exact.
     """
 
     band: Interval
     t_sn: float
     t_ds: float
-    k_max: int = 8
+    k_max: int
 
     def __post_init__(self):
         if not (0.0 < self.t_ds <= self.t_sn + 1e-12):
@@ -115,23 +130,22 @@ class SpectralCopyConfig:
             )
         if self.t_sn > 1.0 / self.band.width + 1e-12:
             raise ValueError(f"t_sn={self.t_sn} exceeds 1/W={1.0 / self.band.width}")
+        if isinstance(self.k_max, bool) or not isinstance(self.k_max, (int, np.integer)):
+            raise ValueError(f"k_max must be an int, got {self.k_max!r}")
         if self.k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {self.k_max}")
 
 
 @dataclass(frozen=True)
 class SpectralCopyResult:
-    """Copy-sum output plus truncation bookkeeping.
-
-    ``k_used`` < ``k_requested`` means shifts beyond the grid's Nyquist
-    range were clipped; ``last_term_l2`` is the in-band L2 weight of the
-    last included copy pair, a direct read of how fast the sum converges.
+    """Copy-sum output: the band-restricted sum, the order ``k_used`` it
+    was summed to (the config's ``k_max``), and ``last_term_l2``, the
+    in-band L2 weight of the last included copy pair, a direct read of how
+    fast the sum converges.
     """
 
     spectrum: Spectrum
-    k_requested: int
     k_used: int
-    clipped: bool
     last_term_l2: float
 
 
@@ -153,9 +167,7 @@ def comb_sample(s: SampledSignal, period: float) -> CombSamples:
     """
     g = s.grid
     stride = _multiple("period", period, g.dt)
-    i0 = _aligned(-g.t_start, g.dt)
-    if i0 is None:
-        raise ValueError("t=0 is not a grid point; comb samples are anchored at 0")
+    i0 = _origin(g)
     k_lo = int(np.ceil(-i0 / stride))
     k_hi = int(np.floor((g.n - 1 - i0) / stride))
     offsets = np.arange(k_lo, k_hi + 1)
@@ -176,9 +188,7 @@ def sinc_reconstruct(c: CombSamples, at: TimeGrid) -> SampledSignal:
     O(N log N) for N = at.n + m * K.
     """
     m = _multiple("period", c.period, at.dt)
-    a = _aligned(at.t_start, at.dt)
-    if a is None:
-        raise ValueError(f"t=0 is not on the lattice of {at}")
+    a = -_origin(at)
     # the stuffed comb spans k_lo..k_hi; initial=0 keeps empty combs valid
     k_lo = int(c.offsets.min(initial=0))
     length = (int(c.offsets.max(initial=0)) - k_lo) * m + 1
@@ -224,37 +234,35 @@ def spectral_copy_recover(r: SampledSignal, cfg: SpectralCopyConfig) -> Spectral
     """Fold periodized copies of the observed spectrum back into the band.
 
     Evaluates P_W [r_hat(w) + sum_{k=1..k_max} r_hat(w - k/t_sn) +
-    r_hat(w + k/t_sn)] on the dense grid with exact integer-bin shifts.
-    Valid for any r that agrees with the source at the sample instants
-    k*t_sn, in particular for a gap of width t_ds < t_sn erased strictly
-    between two samples.  Shifts that would reach past the grid's Nyquist
-    range are clipped and the clip is reported.
+    r_hat(w + k/t_sn)] on the dense grid, each copy a cyclic shift by n/m
+    bins, m = t_sn/dt (at 2k = m the two shifts coincide and count once).
+    Valid for any r that agrees with the source at the instants k*t_sn, in
+    particular for a gap erased strictly between two samples; at k_max =
+    m // 2 the sum is their periodized spectrum, exact on the band.
+    ValueError unless m is an integer dividing n, t = 0 is a grid point
+    and k_max <= m // 2, past which the copies only repeat.
     """
+    g = r.grid
+    m = _multiple("t_sn", cfg.t_sn, g.dt)
+    _origin(g)
+    if g.n % m:
+        raise ValueError(f"t_sn/dt = {m} does not divide n = {g.n}")
+    if cfg.k_max > m // 2:
+        raise ValueError(f"k_max = {cfg.k_max} exceeds t_sn/(2 dt) = {m // 2}, the exact order")
     rhat = forward_spectrum(r)
-    fg = rhat.grid
-    step = _multiple("copy shift 1/t_sn =", 1.0 / cfg.t_sn, fg.dw)
-    freqs = fg.frequencies
-    room_lo = (cfg.band.lo - freqs[0]) * cfg.t_sn
-    room_hi = (freqs[-1] + fg.dw - cfg.band.hi) * cfg.t_sn
-    k_lim = int(np.floor(min(room_lo, room_hi) + 1e-9))
-    k_used = min(cfg.k_max, max(k_lim, 0))
+    step = g.n // m
     acc = rhat.values.copy()
     last_term = np.zeros_like(acc)
-    edge = k_used * step
-    padded = np.pad(rhat.values, edge)  # zero fill for the shifted copies
-    for k in range(1, k_used + 1):
-        up, down = edge - k * step, edge + k * step
-        last_term = padded[up : up + fg.n] + padded[down : down + fg.n]
+    for k in range(1, cfg.k_max + 1):
+        last_term = np.roll(rhat.values, k * step)
+        if 2 * k != m:
+            last_term = last_term + np.roll(rhat.values, -k * step)
         acc += last_term
-    keep = cfg.band.mask(freqs)
+    keep = cfg.band.mask(rhat.grid.frequencies)
     acc[~keep] = 0.0
-    last_l2 = float(np.sqrt(fg.dw * np.sum(np.abs(last_term[keep]) ** 2)))
+    last_l2 = float(np.sqrt(rhat.grid.dw * np.sum(np.abs(last_term[keep]) ** 2)))
     return SpectralCopyResult(
-        spectrum=Spectrum(fg, acc),
-        k_requested=cfg.k_max,
-        k_used=k_used,
-        clipped=k_used < cfg.k_max,
-        last_term_l2=last_l2,
+        spectrum=Spectrum(rhat.grid, acc), k_used=cfg.k_max, last_term_l2=last_l2
     )
 
 
@@ -267,8 +275,10 @@ def band_approx_first_term(r: SampledSignal, band: Interval, t_ds: float) -> Ban
     the model to first order: offset = t_ds * int_[W] r_hat / (1 - W*t_ds).
     The regime flag is "ok", "marginal" (W*t_ds > 0.25), or "distorted"
     (W*t_ds >= 1, where the band restriction no longer approximates
-    anything and recovery is impossible).
+    anything and recovery is impossible).  ``t_ds`` must be finite and > 0.
     """
+    if not (math.isfinite(t_ds) and t_ds > 0):
+        raise ValueError(f"t_ds must be finite and > 0, got {t_ds}")
     rhat = forward_spectrum(r)
     keep = band.mask(rhat.grid.frequencies)
     vals = np.where(keep, rhat.values, 0.0)

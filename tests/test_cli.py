@@ -135,6 +135,8 @@ def test_non_finite_number_is_rejected_with_its_field(tmp_path, capsys, cfg, fie
             "M^2 = 256",
         ),
         (dict(MINIMAL["sampling"], T_SN=0.3), "multiple"),
+        # T_SN/dt = 16: the copy sum is exact at k_max = 8 and goes no further
+        (dict(MINIMAL["sampling"], k_max=9), "k_max"),
     ],
 )
 def test_config_that_does_not_fit_the_grid_exits_2(tmp_path, capsys, cfg, message):
@@ -267,17 +269,24 @@ PAST_THE_LIMIT = {
     "stability": {"T_DS": 0.5},
     "quantum_pipeline": {"X": 1.25},
 }
+#: one config below the limit per kind compared run to run; sampling sums
+#: its copies to the full order, where the sum is exact
+BELOW_THE_LIMIT = {
+    "fig2": {},
+    "sampling": {"k_max": 8},
+    **{kind: {} for kind in PAST_THE_LIMIT},
+}
 
 
 @pytest.mark.parametrize(
     "kind,past",
-    [pytest.param(kind, False, id=kind) for kind in sorted(PAST_THE_LIMIT)]
+    [pytest.param(kind, False, id=kind) for kind in sorted(BELOW_THE_LIMIT)]
     + [pytest.param(kind, True, id=f"{kind}-past") for kind in sorted(PAST_THE_LIMIT)],
 )
 def test_runs_are_byte_identical(tmp_path, kind, past):
     # the second run starts with the concentration operator of the first
     # one's last (grid, band, window) still memoised
-    overrides = PAST_THE_LIMIT[kind] if past else {}
+    overrides = (PAST_THE_LIMIT if past else BELOW_THE_LIMIT)[kind]
     cfg = _write_cfg(tmp_path, dict(MINIMAL[kind], seed=7, **overrides))
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert main(["run", str(cfg), "--out", str(out1)]) == 0

@@ -1,11 +1,16 @@
 """Comb sampling, sinc interpolation, periodization, and copy recovery."""
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subgap import (
+    CombSamples,
     ErasureModel,
     Interval,
     SampledSignal,
@@ -94,6 +99,10 @@ def _band_l2(spec_values, s_hat, keep):
     return float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(diff) ** 2)))
 
 
+def _rel_band_l2(got, want, keep):
+    return np.linalg.norm(got[keep] - want[keep]) / np.linalg.norm(want[keep])
+
+
 def test_copy_sum_error_strictly_decreases(grid, band, s_w):
     window = _gap_between_samples(grid)
     r = erase(s_w, ErasureModel(window=window, source_band=band))
@@ -103,29 +112,36 @@ def test_copy_sum_error_strictly_decreases(grid, band, s_w):
     for k in range(3):
         cfg = SpectralCopyConfig(band=band, t_sn=T_SN, t_ds=window.width, k_max=k)
         result = spectral_copy_recover(r, cfg)
-        assert result.k_used == k and not result.clipped
+        assert result.k_used == k
         errs.append(_band_l2(result.spectrum.values, s_hat, keep))
     assert errs[0] > errs[1] > errs[2]
     # convergence is slow: no term wins more than a modest factor
     assert errs[2] > 0.1
 
 
-def test_copy_sum_clipping_reported(grid, band, s_w):
+def test_copy_sum_is_exact_at_full_order_and_stops_there(grid, band, s_w):
+    # T_SN/dt = 16: the copies k = -8..8 (k = +-8 one shift of n/2) tile
+    # the periodic grid spectrum once
     window = _gap_between_samples(grid)
     r = erase(s_w, ErasureModel(window=window, source_band=band))
-    cfg = SpectralCopyConfig(band=band, t_sn=T_SN, t_ds=window.width, k_max=50)
+    s_hat = forward_spectrum(s_w)
+    keep = band.mask(s_hat.grid.frequencies)
+    cfg = SpectralCopyConfig(band=band, t_sn=T_SN, t_ds=window.width, k_max=8)
     result = spectral_copy_recover(r, cfg)
-    assert result.clipped
-    # the grid spans +-32 Hz, the band edge sits at 1: room for 7 shifts of 4
-    assert result.k_used == 7
-    assert result.k_requested == 50
-    assert result.last_term_l2 > 0.0
+    assert _rel_band_l2(result.spectrum.values, s_hat.values, keep) <= 1e-12
+    assert result.k_used == 8 and result.last_term_l2 > 0.0
+    with pytest.raises(ValueError, match="k_max"):
+        spectral_copy_recover(r, dataclasses.replace(cfg, k_max=50))
 
 
 def test_copy_shift_must_align_with_frequency_bins(band, s_w):
     r = s_w  # no gap needed to exercise the geometry check
     cfg = SpectralCopyConfig(band=band, t_sn=0.3, t_ds=0.3, k_max=1)
     with pytest.raises(ValueError):
+        spectral_copy_recover(r, cfg)
+    # t_sn/dt = 3 does not divide n = 4096: 1/t_sn falls between bins
+    cfg = SpectralCopyConfig(band=band, t_sn=3 / 64, t_ds=3 / 64, k_max=1)
+    with pytest.raises(ValueError, match="divide"):
         spectral_copy_recover(r, cfg)
 
 
@@ -136,6 +152,104 @@ def test_copy_config_validation(band):
         SpectralCopyConfig(band=band, t_sn=0.6, t_ds=0.25, k_max=1)  # period > 1/W
     with pytest.raises(ValueError):
         SpectralCopyConfig(band=band, t_sn=0.25, t_ds=0.25, k_max=-1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda s, band: comb_sample(s, math.inf),
+        lambda s, band: comb_sample(s, math.nan),
+        lambda s, band: CombSamples(s.grid, math.inf, [0], [1.0]),
+        lambda s, band: CombSamples(s.grid, math.nan, [0], [1.0]),
+        lambda s, band: SpectralCopyConfig(band=band, t_sn=0.25, t_ds=0.25, k_max=2.5),
+        lambda s, band: SpectralCopyConfig(band=band, t_sn=0.25, t_ds=0.25, k_max=True),
+        lambda s, band: band_approx_first_term(s, band, -0.25),
+        lambda s, band: band_approx_first_term(s, band, math.nan),
+    ],
+    ids=[
+        "comb-inf", "comb-nan", "period-inf", "period-nan",
+        "k_max-float", "k_max-bool", "t_ds-negative", "t_ds-nan",
+    ],
+)
+def test_bad_sampling_input_is_rejected_when_constructed(s_w, band, make):
+    with pytest.raises(ValueError):
+        make(s_w, band)
+
+
+@st.composite
+def _copy_cases(draw):
+    """A grid with t = 0 on it, t_sn = m dt with m | n, a band of at most
+    1/t_sn, a random signal bandlimited to it, and a gap of grid points
+    strictly between two comb instants."""
+    m = draw(st.integers(2, 32))
+    n = m * draw(st.integers(max(1, 128 // m), 2048 // m))
+    if n % 2:
+        n *= 2
+    dt = 1.0 / 32
+    i0 = draw(st.integers(0, n - 1))
+    grid = TimeGrid(-i0 * dt, dt, n)
+    # the band covers bins lo..lo+bins-1; its edges sit between bins
+    bins = draw(st.integers(1, n // m))
+    lo = draw(st.integers(-n // 2 + 1, n // 2 - bins))
+    band = Interval((lo + bins / 2 - 0.5) / grid.span, bins / grid.span)
+    s_w = band_project(_random_signal(grid, draw(st.integers(0, 2**16))), band)
+    start = draw(st.integers(1, n - 1).filter(lambda i: (i - i0) % m))
+    length = draw(st.integers(1, min(m - (start - i0) % m, n - start)))
+    gap = Interval(grid.t_start + (start + length / 2 - 0.5) * dt, length * dt)
+    return m, band, s_w, gap
+
+
+@given(_copy_cases())
+def test_copy_sum_at_full_order_is_the_periodized_spectrum(case):
+    m, band, s_w, gap = case
+    t_sn = m * s_w.grid.dt
+    r = erase(s_w, ErasureModel(window=gap, source_band=band))
+    cfg = SpectralCopyConfig(band=band, t_sn=t_sn, t_ds=gap.width, k_max=m // 2)
+    got = spectral_copy_recover(r, cfg).spectrum.values
+    keep = band.mask(s_w.grid.dual.frequencies)
+    assert _rel_band_l2(got, forward_spectrum(s_w).values, keep) <= 1e-12
+    # Poisson summation by an independent kernel: the comb's own spectrum
+    poisson = periodized_spectrum(comb_sample(r, t_sn)).values
+    assert _rel_band_l2(got, poisson, keep) <= 1e-12
+    with pytest.raises(ValueError, match="k_max"):
+        spectral_copy_recover(r, dataclasses.replace(cfg, k_max=m // 2 + 1))
+
+
+def test_copy_sum_is_not_exact_when_the_gap_swallows_a_sample(band, s_w):
+    # [0, 1/4) erases the comb instant t = 0 itself
+    r = erase(s_w, ErasureModel(window=Interval(0.125, 0.25), source_band=band))
+    cfg = SpectralCopyConfig(band=band, t_sn=T_SN, t_ds=0.25, k_max=8)
+    got = spectral_copy_recover(r, cfg).spectrum.values
+    keep = band.mask(s_w.grid.dual.frequencies)
+    assert _rel_band_l2(got, forward_spectrum(s_w).values, keep) > 0.1
+
+
+def test_copy_sum_refuses_a_grid_without_t_zero(band):
+    # off the lattice the grid spectrum is not periodic and the wrap is wrong
+    off = TimeGrid(-32.0 + 1.0 / 192, 1.0 / 64, 4096)
+    s = band_project(_random_signal(off, 4), band)
+    cfg = SpectralCopyConfig(band=band, t_sn=T_SN, t_ds=T_SN / 2, k_max=1)
+    with pytest.raises(ValueError, match="t=0"):
+        spectral_copy_recover(s, cfg)
+
+
+def test_copy_sum_below_the_old_clip_equals_zero_filled_shifts(grid, band, s_w):
+    # the sum with zero-filled shifts, pair by pair, as it was computed
+    # before copies wrapped: up to k = 7 no in-band bin reaches the fill
+    r = erase(s_w, ErasureModel(window=_gap_between_samples(grid), source_band=band))
+    r_hat = forward_spectrum(r).values
+    keep = band.mask(grid.dual.frequencies)
+    step = round(grid.n * grid.dt / T_SN)
+    for k in range(8):
+        cfg = SpectralCopyConfig(band=band, t_sn=T_SN, t_ds=T_SN - grid.dt, k_max=k)
+        acc = r_hat.copy()
+        for j in range(1, k + 1):
+            pair = np.zeros_like(r_hat)
+            pair[j * step:] += r_hat[: grid.n - j * step]
+            pair[: grid.n - j * step] += r_hat[j * step:]
+            acc += pair
+        got = spectral_copy_recover(r, cfg).spectrum.values
+        assert np.array_equal(got[keep], acc[keep]), k
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
 """Each guard and export list is written once and shared by every caller.
 
 The bandlimit check, the concentration bound, the refusal wording of an
-invertibility report, the report check of a refusal and the package's
-export lists each used to be copied into several places, where one copy
-could drift from the others.  These walk the syntax trees and fail when a
-second copy appears.
+invertibility report, the report check of a refusal, the test that t = 0
+is a grid point and the package's export lists each used to be copied
+into several places, where one copy could drift from the others.  These
+walk the syntax trees and fail when a second copy appears.
 """
 
 import ast
@@ -82,6 +82,18 @@ def test_refusals_are_recorded_by_one_check():
     assert handlers
     for handler in handlers:
         assert not _sites(handler, "invertibility_report"), ast.unparse(handler)
+
+
+def test_t_zero_on_the_grid_is_decided_by_one_helper():
+    # the comb, the sinc series and the copy sum all anchor at t = 0
+    tree = _tree(sampling)
+    on_t_start = [
+        fn for _, fn, call in _sites(tree, "_aligned")
+        if any(isinstance(n, ast.Attribute) and n.attr == "t_start" for n in ast.walk(call))
+    ]
+    assert on_t_start == ["_origin"]
+    callers = sorted(fn for _, fn, _ in _sites(tree, "_origin"))
+    assert callers == ["comb_sample", "sinc_reconstruct", "spectral_copy_recover"]
 
 
 def test_no_name_is_exported_by_two_modules():
