@@ -45,7 +45,7 @@ class NonConvergenceError(SubgapError, RuntimeError):
 
     Raised by ``recover_state`` when the Neumann series exhausts its
     iteration cap or its update norm stops decreasing; the classical
-    solvers report the same outcome as ``RecoveryReport.converged``.
+    solvers return that as ``RecoveryReport.reason`` instead of raising.
     """
 
 

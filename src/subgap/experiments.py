@@ -62,7 +62,6 @@ from .quantum import (
     rank1_extract,
     recover_state,
     tomography_solve,
-    wf_norm,
 )
 from .recovery import (
     LAMBDA_MARGIN,
@@ -474,8 +473,7 @@ def run_recovery(
             recover_direct(r, band, window)
         except RefusalError as exc:
             metrics["direct_refusal"] = str(exc)
-        no_output = rec.recovered is None and rec_band.recovered is None
-        refused = rec_band.refused and "direct_refusal" in metrics and no_output
+        refused = rec_band.refused and "direct_refusal" in metrics
         what = "all solvers refuse, no output signal,"
         _limit_refusal(checks, inv, "WT", w * t_ds, what, refused)
         return checks, metrics, []
@@ -658,7 +656,7 @@ def _pipeline_input(grid: TimeGrid, band: Interval) -> WaveFunction:
     x = grid.times
     raw = np.exp(-np.pi * (x - 0.25) ** 2) * np.exp(2j * np.pi * 0.15 * x)
     limited = momentum_limit(WaveFunction(grid, raw), band)
-    return WaveFunction(grid, limited.values / wf_norm(limited), normalized=True)
+    return WaveFunction(grid, limited.values / l2_norm(limited), normalized=True)
 
 
 @_experiment(

@@ -14,9 +14,10 @@ recovered whenever XP < 1:
 Only the kernel's sign differs from the signal side, so each momentum-side
 operator is the conjugate of a signal-side one: momentum_spectrum(psi) =
 conj(forward_spectrum(conj psi)), P_P = conj P_W conj and P_X = P_T.  The
-transform pair, the projectors, the concentration bound, the refusal
-policy and the Neumann series thus exist once; :func:`recover_state`
-raises NonConvergenceError when the series stops short of its tolerance.
+transform pair, the norm, the projectors (P_X is :func:`time_gate`), the
+concentration bound, the refusal policy and the Neumann series thus exist
+once; :func:`recover_state` raises NonConvergenceError when the series
+stops short of its tolerance.
 
 The smoothed state is observable through free evolution: the coordinate
 diagonal rho(x, t) of exp(-iHt) rho exp(+iHt), H = p^2/2m, exposes each
@@ -46,6 +47,7 @@ from .core import (
 from .errors import (
     BoundViolationError,
     DegenerateDesignError,
+    GridMismatchError,
     NonConvergenceError,
     RefusalError,
 )
@@ -54,7 +56,6 @@ from .projections import (
     band_project,
     complement_gate,
     concentration_ratio,
-    time_gate,
 )
 from .recovery import invertibility_report, recover_band_neumann
 
@@ -67,8 +68,6 @@ __all__ = [
     "momentum_spectrum",
     "position_wave",
     "momentum_limit",
-    "position_gate",
-    "wf_norm",
     "fidelity",
     "landau_pollak_ratio",
     "gate_state",
@@ -104,7 +103,7 @@ class WaveFunction(SampledSignal):
     def __post_init__(self):
         super().__post_init__()
         if self.normalized:
-            nrm = wf_norm(self)
+            nrm = l2_norm(self)
             if not abs(nrm - 1.0) <= 1e-12:
                 raise ValueError(f"flagged normalized but ||psi|| = {nrm!r}")
 
@@ -130,7 +129,7 @@ class DensityMatrix:
     tests leave out p = 0, so the bin weight is taken as the smallest
     spacing).  ``grid`` optionally remembers the coordinate grid the matrix
     was built on, letting :func:`rank1_extract` rebuild a wavefunction.
-    A non-finite momentum, element or mass raises ValueError.
+    Non-finite entries, a repeated momentum or a mass not > 0 raise ValueError.
     """
 
     p_grid: np.ndarray = field(repr=False)
@@ -141,11 +140,12 @@ class DensityMatrix:
     def __post_init__(self):
         p = np.array(self.p_grid, dtype=float)
         e = np.array(self.elements, dtype=complex)
-        _require_finite(p_grid=p, elements=e, mass=self.mass)
+        _require_finite(p_grid=p, elements=e)
         if p.ndim != 1 or e.shape != (p.size, p.size):
             raise ValueError(
                 f"elements shape {e.shape} does not match p_grid size {p.size}"
             )
+        _bin_weight(p, self.mass, need=0)
         scale = max(1.0, float(np.max(np.abs(e))) if e.size else 1.0)
         if np.max(np.abs(e - e.conj().T)) > 1e-12 * scale:
             raise ValueError("elements are not Hermitian to 1e-12")
@@ -161,9 +161,7 @@ class DensityMatrix:
     @property
     def bin_weight(self):
         """Momentum measure per bin: the smallest grid spacing."""
-        if self.p_grid.size < 2:
-            raise ValueError("need at least two momentum bins")
-        return float(np.min(np.diff(np.sort(self.p_grid))))
+        return _bin_weight(self.p_grid, self.mass)
 
     @property
     def omegas(self):
@@ -223,6 +221,19 @@ def _require_finite(**fields):
             raise ValueError(f"{name} must be finite")
 
 
+def _bin_weight(p: np.ndarray, mass: float, need: int = 2) -> float:
+    """The momentum measure per bin, the smallest spacing of ``p``; ValueError
+    names ``mass`` unless finite and > 0, ``p_grid`` on a repeated momentum."""
+    if not (np.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"mass must be finite and > 0, got {mass!r}")
+    if p.size < need:
+        raise ValueError(f"need at least {need} momentum bins")
+    dp = float(np.min(np.diff(np.sort(p)), initial=np.inf))
+    if not dp > 0.0:
+        raise ValueError("p_grid contains duplicate momenta")
+    return dp
+
+
 def _conj(obj, kind=SampledSignal):
     """The complex conjugate of a wavefunction or spectrum, as a ``kind``."""
     return kind(obj.grid, np.conj(obj.values))
@@ -236,33 +247,23 @@ def momentum_spectrum(psi: WaveFunction) -> Spectrum:
     return _conj(forward_spectrum(_conj(psi)), Spectrum)
 
 
-def position_wave(spec: Spectrum, normalized: bool = False) -> WaveFunction:
+def position_wave(spec: Spectrum) -> WaveFunction:
     """Inverse of :func:`momentum_spectrum`: psi(x) = dp * sum_p psi_hat exp(+2 pi i p x)."""
     s = inverse_signal(_conj(spec, Spectrum))
-    return WaveFunction(s.grid, np.conj(s.values), normalized=normalized)
-
-
-def wf_norm(psi: WaveFunction) -> float:
-    """dx-weighted L2 norm of a wavefunction (:func:`l2_norm`)."""
-    return l2_norm(psi)
+    return WaveFunction(s.grid, np.conj(s.values))
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:
     """|<a|b>| / (||a|| ||b||): overlap magnitude, phase-free."""
     if a.grid != b.grid:
-        raise ValueError("wavefunctions live on different grids")
+        raise GridMismatchError("wavefunctions live on different grids")
     num = abs(a.grid.dt * np.vdot(a.values, b.values))
-    return float(num / (wf_norm(a) * wf_norm(b)))
+    return float(num / (l2_norm(a) * l2_norm(b)))
 
 
 def momentum_limit(psi: WaveFunction, band: Interval) -> WaveFunction:
     """Apply P_P: zero momentum components outside ``band`` (conj P_W conj)."""
     return _conj(band_project(_conj(psi), band), WaveFunction)
-
-
-def position_gate(psi: WaveFunction, window: Interval) -> WaveFunction:
-    """Apply P_X: zero coordinate samples outside ``window`` (P_T)."""
-    return WaveFunction(psi.grid, time_gate(psi, window).values)
 
 
 def landau_pollak_ratio(psi: WaveFunction, windows: PhaseSpaceWindows) -> float:
@@ -300,7 +301,7 @@ def momentum_smooth(psi_m: WaveFunction, windows: PhaseSpaceWindows) -> WaveFunc
     away rather than empty.
     """
     limited = momentum_limit(psi_m, windows.p_band)
-    nrm = wf_norm(limited)
+    nrm = l2_norm(limited)
     if nrm <= 0.0:
         raise ValueError("state has no energy inside the momentum band")
     return WaveFunction(psi_m.grid, limited.values / nrm, normalized=True)
@@ -415,14 +416,10 @@ def tomography_solve(
     (an (x, t) sampling that fails to separate two pairs).
     """
     p = np.asarray(p_grid, dtype=float)
-    _require_finite(p_grid=p, mass=mass)
+    _require_finite(p_grid=p)
+    dp = _bin_weight(p, mass)
     m = p.size
-    if m < 2:
-        raise ValueError("need at least two momentum bins")
     om = p**2 / (2.0 * mass)
-    dp = float(np.min(np.diff(np.sort(p))))
-    if dp <= 0.0:
-        raise ValueError("p_grid contains duplicate momenta")
     x, t, y = samples.x_points, samples.t_points, samples.values
     if y.size < m * m:
         raise ValueError(
@@ -590,17 +587,17 @@ def _complete_populations(off: np.ndarray, trace: float, m: int, pairs):
     return diag * (trace / total), True
 
 
-def rank1_extract(rho: DensityMatrix, grid: TimeGrid | None = None) -> WaveFunction:
+def rank1_extract(rho: DensityMatrix) -> WaveFunction:
     """Principal eigenvector of a numerically rank-1 density matrix.
 
     Returns the corresponding momentum-limited wavefunction on the
-    coordinate grid (taken from ``rho.grid`` unless given), with the phase
-    convention that the largest-magnitude momentum coefficient is real and
-    positive.  Refuses when the second eigenvalue exceeds 1e-6.
+    coordinate grid ``rho.grid`` (ValueError when it is None), with the
+    phase convention that the largest-magnitude momentum coefficient is
+    real and positive.  Refuses when the second eigenvalue exceeds 1e-6.
     """
-    g = grid if grid is not None else rho.grid
+    g = rho.grid
     if g is None:
-        raise ValueError("no coordinate grid: pass grid= or build rho with one")
+        raise ValueError("no coordinate grid: build rho with one")
     evals, evecs = np.linalg.eigh(rho.elements)
     if rho.p_grid.size >= 2 and evals[-2] > RANK1_TOL:
         raise RefusalError(
@@ -617,5 +614,5 @@ def rank1_extract(rho: DensityMatrix, grid: TimeGrid | None = None) -> WaveFunct
     full = np.zeros(g.n, dtype=complex)
     full[idx] = v / np.sqrt(g.dual.dw)
     psi = position_wave(Spectrum(g.dual, full))
-    nrm = wf_norm(psi)
+    nrm = l2_norm(psi)
     return WaveFunction(g, psi.values / nrm, normalized=True)

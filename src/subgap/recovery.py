@@ -16,7 +16,7 @@ per (grid, band, window) and shared by the refusal check and all three
 solvers.  A series step multiplies by G alone, O(min(M, K)^2) work; below
 the limit M K <= WT n + M + K, so min(M, K) is about sqrt(n) at most.
 Each solve makes one FFT of its input, at most one back, and at most two
-M x K products.
+M x K products.  Each report stores only the values that decide it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Interval, SampledSignal, TimeGrid, l2_norm
-from .errors import GridMismatchError, RefusalError
+from .errors import RefusalError
 # band_project is unused here but stays bound: perfbench's tracer smoke
 # test checks that wrapping reaches subgap.recovery.band_project
 from .projections import (  # noqa: F401
@@ -59,34 +59,30 @@ DIRECT_SOLVE_DIM_LIMIT = 4096
 
 @dataclass(frozen=True)
 class ErasureModel:
-    """The erasure channel: unobserved window, source band, optional noise.
-
-    ``noise`` models observational noise on the *kept* samples, so it must
-    be finite and vanish on the erased window.
-    """
+    """The erasure channel: the unobserved window and the source band."""
 
     window: Interval
     source_band: Interval
-    noise: SampledSignal | None = None
-
-    def __post_init__(self):
-        if self.noise is not None:
-            if not np.all(np.isfinite(self.noise.values)):
-                raise ValueError("noise must be finite")
-            inside = self.window.mask(self.noise.grid.times)
-            if not np.all(np.abs(self.noise.values[inside]) <= 0.0):
-                raise ValueError("noise must vanish on the erased window")
 
 
 @dataclass(frozen=True)
 class InvertibilityReport:
-    """Whether (1 - P_T P_W) can be inverted on the bandlimited subspace."""
+    """Whether (1 - P_T P_W) is invertible, read from lambda0 and WT alone."""
 
     lambda0: float
     wt: float
-    wt_ok: bool
-    lambda0_ok: bool
-    invertible: bool
+
+    @property
+    def wt_ok(self) -> bool:
+        return self.wt < 1.0
+
+    @property
+    def lambda0_ok(self) -> bool:
+        return self.lambda0 <= 1.0 - LAMBDA_MARGIN
+
+    @property
+    def invertible(self) -> bool:
+        return self.wt_ok and self.lambda0_ok
 
     @property
     def reason(self) -> str:
@@ -107,18 +103,27 @@ class InvertibilityReport:
 class RecoveryReport:
     """Outcome of an iterative recovery.
 
-    ``residual_history`` holds the relative update norm of each iteration;
-    it decays geometrically at ``contraction_estimate`` <= sqrt(WT) while
-    the solver runs.  ``recovered`` is None when the solver refused.
+    ``residual_history`` holds the relative update norm of each iteration,
+    decaying at ``contraction_estimate`` <= sqrt(WT).  ``recovered`` is
+    None when the solver refused; ``reason`` is None when it converged.
     """
 
     recovered: SampledSignal | None
-    iterations: int
     residual_history: np.ndarray = field(repr=False)
     contraction_estimate: float
-    refused: bool
     reason: str | None
-    converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return self.residual_history.size
+
+    @property
+    def refused(self) -> bool:
+        return self.recovered is None
+
+    @property
+    def converged(self) -> bool:
+        return self.reason is None
 
 
 @dataclass(frozen=True)
@@ -132,28 +137,13 @@ class StabilityRow:
 
 
 def erase(s_w: SampledSignal, model: ErasureModel) -> SampledSignal:
-    """Apply the erasure channel: r = (1 - P_T) s_W + n.
+    """Apply the erasure channel: r = (1 - P_T) s_W.
 
     The input must be bandlimited to ``model.source_band`` (the receiver
     knows the band); out-of-band energy above 1e-10 relative is rejected.
     """
     _require_bandlimited(s_w, model.source_band, "erase() input")
-    r = complement_gate(s_w, model.window)
-    if model.noise is not None:
-        if model.noise.grid != s_w.grid:
-            raise GridMismatchError("noise grid differs from signal grid")
-        r = SampledSignal(s_w.grid, r.values + model.noise.values)
-    return r
-
-
-def _report(band: Interval, window: Interval, lam: float) -> InvertibilityReport:
-    wt = band.width * window.width
-    wt_ok = wt < 1.0
-    lam_ok = lam <= 1.0 - LAMBDA_MARGIN
-    return InvertibilityReport(
-        lambda0=lam, wt=wt, wt_ok=wt_ok, lambda0_ok=lam_ok,
-        invertible=wt_ok and lam_ok,
-    )
+    return complement_gate(s_w, model.window)
 
 
 def invertibility_report(grid: TimeGrid, band: Interval, window: Interval) -> InvertibilityReport:
@@ -163,7 +153,8 @@ def invertibility_report(grid: TimeGrid, band: Interval, window: Interval) -> In
     waveform); the extra lambda0 margin guards discretization corner cases
     where WT < 1 but the discrete operator is near singular.
     """
-    return _report(band, window, _concentration_operator(grid, band, window).lambda0)
+    lam = _concentration_operator(grid, band, window).lambda0
+    return InvertibilityReport(lambda0=lam, wt=band.width * window.width)
 
 
 def _default_k_max(wt: float, tol: float) -> int:
@@ -175,9 +166,8 @@ def _default_k_max(wt: float, tol: float) -> int:
 
 def _refusal(report: InvertibilityReport) -> RecoveryReport:
     return RecoveryReport(
-        recovered=None, iterations=0, residual_history=np.empty(0),
-        contraction_estimate=float("nan"), refused=True, reason=report.reason,
-        converged=False,
+        recovered=None, residual_history=np.empty(0),
+        contraction_estimate=float("nan"), reason=report.reason,
     )
 
 
@@ -189,7 +179,7 @@ def _prepared(r: SampledSignal, band: Interval, window: Interval):
     window's h) and q otherwise (z is u); None when the report refuses.
     """
     op = _concentration_operator(r.grid, band, window)
-    report = _report(band, window, op.lambda0)
+    report = InvertibilityReport(lambda0=op.lambda0, wt=band.width * window.width)
     if not report.invertible:
         return report, op, None, None
     q = np.fft.ifft(r.values)[op.bins] * r.grid.n
@@ -225,11 +215,8 @@ def _neumann_loop(g, c, n: int, measure, tol: float, k_max: int):
     z = gz = np.zeros_like(c)
     rel_history = []
     abs_history = []
-    converged = False
     reason = None
-    iterations = 0
     for _ in range(k_max):
-        iterations += 1
         z_new = c + gz / n
         gz_new = g @ z_new
         abs_up, nrm = measure(z_new, z, gz_new)
@@ -238,7 +225,6 @@ def _neumann_loop(g, c, n: int, measure, tol: float, k_max: int):
         rel_history.append(rel)
         abs_history.append(abs_up)
         if rel < tol:
-            converged = True
             break
         if len(abs_history) >= 2 and abs_history[-1] > abs_history[-2]:
             reason = "update norm stopped decreasing; halted at the attainable floor"
@@ -250,9 +236,8 @@ def _neumann_loop(g, c, n: int, measure, tol: float, k_max: int):
     ]
     contraction = max(ratios) if ratios else 0.0
     fields = dict(
-        iterations=iterations, residual_history=np.asarray(rel_history),
-        contraction_estimate=contraction, refused=False, reason=reason,
-        converged=converged,
+        residual_history=np.asarray(rel_history),
+        contraction_estimate=contraction, reason=reason,
     )
     return fields, z, gz
 
@@ -374,15 +359,14 @@ def noise_stability_sweep(
     window: Interval,
     noise_levels,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> list[StabilityRow]:
     """Recovery error versus noise strength on the kept samples.
 
     For each sigma, complex white noise of L2 norm sigma (fixed seed, zeroed
     on the window) is added to the erased signal and the series solver is
-    run.  The amplification err/sigma is bounded by the geometric-series
-    constant 1/(1 - sqrt(lambda0)) plus 10% slack; each row carries both,
-    so the caller can check them.  ``s_w`` is erased, and so checked for
+    run to tol = 1e-10.  The amplification err/sigma is bounded by the
+    geometric-series constant 1/(1 - sqrt(lambda0)) plus 10% slack; each
+    row carries both, so the caller can check them.  ``s_w`` is erased, and so checked for
     bandlimitedness, once for the whole sweep; a sigma that is negative or
     not finite raises ValueError.
     """
@@ -402,7 +386,7 @@ def noise_stability_sweep(
         r = clean
         if sigma > 0.0:
             r = SampledSignal(s_w.grid, clean.values + sigma * unit)
-        rec = recover_neumann(r, band, window, tol=tol)
+        rec = recover_neumann(r, band, window, tol=1e-10)
         err = l2_norm(SampledSignal(s_w.grid, rec.recovered.values - s_w.values))
         amp = err / sigma if sigma > 0.0 else 0.0
         rows.append(StabilityRow(sigma=sigma, err=err, amplification=amp, bound=bound))

@@ -138,15 +138,11 @@ class SpectralCopyConfig:
 
 @dataclass(frozen=True)
 class SpectralCopyResult:
-    """Copy-sum output: the band-restricted sum, the order ``k_used`` it
-    was summed to (the config's ``k_max``), and ``last_term_l2``, the
-    in-band L2 weight of the last included copy pair, a direct read of how
-    fast the sum converges.
-    """
+    """Copy-sum output: the band-restricted sum and the order ``k_used`` it
+    was summed to (the config's ``k_max``)."""
 
     spectrum: Spectrum
     k_used: int
-    last_term_l2: float
 
 
 @dataclass(frozen=True)
@@ -201,8 +197,8 @@ def sinc_reconstruct(c: CombSamples, at: TimeGrid) -> SampledSignal:
     return SampledSignal(at, full[length - 1 : length - 1 + at.n])
 
 
-def band_interpolate(c: CombSamples, band: Interval, at: TimeGrid | None = None) -> SampledSignal:
-    """Bandlimited-to-``band`` version of the sinc reconstruction.
+def band_interpolate(c: CombSamples, band: Interval) -> SampledSignal:
+    """Bandlimited-to-``band`` version of the sinc reconstruction on ``c.grid``.
 
     Requires W <= 1/period, i.e. the target band must fit inside the
     reconstruction band; then for samples of a W-bandlimited signal the
@@ -210,7 +206,7 @@ def band_interpolate(c: CombSamples, band: Interval, at: TimeGrid | None = None)
     """
     if band.width > 1.0 / c.period + 1e-12:
         raise ValueError(f"band width {band.width} exceeds 1/period = {1.0 / c.period}")
-    return band_project(sinc_reconstruct(c, c.grid if at is None else at), band)
+    return band_project(sinc_reconstruct(c, c.grid), band)
 
 
 def periodized_spectrum(c: CombSamples) -> Spectrum:
@@ -252,18 +248,13 @@ def spectral_copy_recover(r: SampledSignal, cfg: SpectralCopyConfig) -> Spectral
     rhat = forward_spectrum(r)
     step = g.n // m
     acc = rhat.values.copy()
-    last_term = np.zeros_like(acc)
     for k in range(1, cfg.k_max + 1):
-        last_term = np.roll(rhat.values, k * step)
+        pair = np.roll(rhat.values, k * step)
         if 2 * k != m:
-            last_term = last_term + np.roll(rhat.values, -k * step)
-        acc += last_term
-    keep = cfg.band.mask(rhat.grid.frequencies)
-    acc[~keep] = 0.0
-    last_l2 = float(np.sqrt(rhat.grid.dw * np.sum(np.abs(last_term[keep]) ** 2)))
-    return SpectralCopyResult(
-        spectrum=Spectrum(rhat.grid, acc), k_used=cfg.k_max, last_term_l2=last_l2
-    )
+            pair += np.roll(rhat.values, -k * step)
+        acc += pair
+    acc[~cfg.band.mask(rhat.grid.frequencies)] = 0.0
+    return SpectralCopyResult(spectrum=Spectrum(rhat.grid, acc), k_used=cfg.k_max)
 
 
 def band_approx_first_term(r: SampledSignal, band: Interval, t_ds: float) -> BandApproxResult:

@@ -50,7 +50,6 @@ from subgap import (
     spectral_copy_recover,
     time_gate,
     tomography_solve,
-    wf_norm,
 )
 from subgap.experiments import run_quantum_pipeline
 
@@ -76,7 +75,7 @@ def _q_state(band=Q_BAND):
     x = Q_GRID.times
     raw = np.exp(-np.pi * (x - 0.25) ** 2) * np.exp(2j * np.pi * 0.15 * x)
     lim = momentum_limit(WaveFunction(Q_GRID, raw), band)
-    return WaveFunction(Q_GRID, lim.values / wf_norm(lim), normalized=True)
+    return WaveFunction(Q_GRID, lim.values / l2_norm(lim), normalized=True)
 
 
 def test_01_concentration_operator_norm_bounded_below_one(grid):

@@ -1,6 +1,5 @@
 """Config validation and the subgap command line."""
 
-import dataclasses
 import inspect
 import json
 import math
@@ -324,15 +323,8 @@ def test_run_past_the_limit_records_the_refusal(tmp_path, cfg, stage):
 def test_refusal_below_the_limit_fails_the_run(tmp_path, monkeypatch):
     # a guard that refuses at WT = 0.5 must not pass its own check: the
     # check compares the run's own W*T (X*P) with 1, not the guard's verdict
-    real_report = recovery._report
-
-    def over_strict(band, window, lam):
-        rep = real_report(band, window, lam)
-        if rep.wt < 0.5:
-            return rep
-        return dataclasses.replace(rep, wt_ok=False, invertible=False)
-
-    monkeypatch.setattr(recovery, "_report", over_strict)
+    over_strict = property(lambda report: report.wt < 0.5)
+    monkeypatch.setattr(recovery.InvertibilityReport, "wt_ok", over_strict)
     runs = {
         "recovery": dict(w=2.0, t_ds=0.25),
         "stability": dict(w=2.0, t_ds=0.25),

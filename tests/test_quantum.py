@@ -16,6 +16,7 @@ from subgap import (
     DegenerateDesignError,
     DensityMatrix,
     EvolutionSamples,
+    GridMismatchError,
     Interval,
     NonConvergenceError,
     NotBandlimitedError,
@@ -23,6 +24,7 @@ from subgap import (
     RefusalError,
     SampledSignal,
     Spectrum,
+    TimeGrid,
     WaveFunction,
     build_density,
     default_grid,
@@ -34,14 +36,14 @@ from subgap import (
     momentum_limit,
     momentum_smooth,
     momentum_spectrum,
+    l2_norm,
     operator_norm_sq,
-    position_gate,
     position_wave,
     rank1_extract,
     recover_direct,
     recover_state,
+    time_gate,
     tomography_solve,
-    wf_norm,
 )
 
 P_BAND = Interval(0.0, 1.0)  # momenta in [-1/2, 1/2), 8 bins at dp = 1/8
@@ -52,7 +54,7 @@ def _state(qgrid, band=P_BAND, shift=0.25, kick=0.15):
     x = qgrid.times
     raw = np.exp(-np.pi * (x - shift) ** 2) * np.exp(2j * np.pi * kick * x)
     lim = momentum_limit(WaveFunction(qgrid, raw), band)
-    return WaveFunction(qgrid, lim.values / wf_norm(lim), normalized=True)
+    return WaveFunction(qgrid, lim.values / l2_norm(lim), normalized=True)
 
 
 def test_momentum_transform_round_trip(qgrid):
@@ -107,9 +109,9 @@ def test_momentum_projectors_idempotent(qgrid):
     once = momentum_limit(psi, P_BAND)
     twice = momentum_limit(once, P_BAND)
     np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
-    gated = position_gate(psi, window)
+    gated = time_gate(psi, window)
     np.testing.assert_array_equal(
-        position_gate(gated, window).values, gated.values
+        time_gate(gated, window).values, gated.values
     )
 
 
@@ -169,17 +171,17 @@ def test_gate_state_vanishes_on_window_and_spills(qgrid):
     windows = PhaseSpaceWindows(Interval(0.0, 0.5), P_BAND)
     psi = _state(qgrid)
     gated = gate_state(psi, windows)
-    assert wf_norm(gated) == pytest.approx(1.0, abs=1e-12)
+    assert l2_norm(gated) == pytest.approx(1.0, abs=1e-12)
     assert np.all(gated.values[windows.x_window.mask(qgrid.times)] == 0.0)
     # the gap forces momentum outside the band: same floor as the classical
     # band spill, normalized by the in-window weight of the original state
-    raw = psi.values - position_gate(psi, windows.x_window).values
+    raw = psi.values - time_gate(psi, windows.x_window).values
     out = WaveFunction(
         qgrid, raw - momentum_limit(WaveFunction(qgrid, raw), P_BAND).values
     )
-    win = wf_norm(position_gate(psi, windows.x_window)) ** 2
+    win = l2_norm(time_gate(psi, windows.x_window)) ** 2
     floor = 1.0 - operator_norm_sq(qgrid, P_BAND, windows.x_window)
-    assert wf_norm(out) ** 2 / win >= floor
+    assert l2_norm(out) ** 2 / win >= floor
 
 
 def test_gate_state_requires_momentum_limited_input(qgrid):
@@ -285,7 +287,7 @@ def test_recover_state_matches_the_conjugate_direct_solve(
         rng.standard_normal(m) + 1j * rng.standard_normal(m)
     )
     psi = position_wave(Spectrum(qgrid.dual, coef))
-    psi = WaveFunction(qgrid, psi.values / wf_norm(psi), normalized=True)
+    psi = WaveFunction(qgrid, psi.values / l2_norm(psi), normalized=True)
     smooth = momentum_smooth(gate_state(psi, windows), windows)
     report = invertibility_report(qgrid, p_band, windows.x_window)
     tol = 1e-8
@@ -297,8 +299,8 @@ def test_recover_state_matches_the_conjugate_direct_solve(
     direct = recover_direct(
         SampledSignal(qgrid, np.conj(smooth.values)), p_band, windows.x_window
     )
-    oracle = np.conj(direct.values) / wf_norm(direct)
-    diff = wf_norm(WaveFunction(qgrid, rec.values - oracle))
+    oracle = np.conj(direct.values) / l2_norm(direct)
+    diff = l2_norm(WaveFunction(qgrid, rec.values - oracle))
     assert diff <= tol / (1.0 - np.sqrt(report.lambda0))
 
 
@@ -376,6 +378,26 @@ def test_density_and_tomography_reject_non_finite_input(qgrid, field, bad):
     if field != "elements":
         with pytest.raises(ValueError, match=field):
             tomography_solve(samples, parts["p_grid"], mass=parts["mass"])
+
+
+@pytest.mark.parametrize(
+    "field,p_grid,mass",
+    [
+        ("p_grid", [0.125, 0.125, 0.25], 1.0),
+        ("mass", [0.0, 0.125, 0.25], 0.0),
+        ("mass", [0.0, 0.125, 0.25], -1.0),
+    ],
+)
+def test_density_and_tomography_reject_degenerate_grid_or_mass(field, p_grid, mass):
+    # a repeated momentum used to give bin_weight 0, so rho(x, t) read 0
+    # for a trace-1 state; mass 0 gave infinite omegas and a LinAlgError
+    elements = np.eye(3) / 3.0
+    good = DensityMatrix(p_grid=[0.0, 0.125, 0.25], elements=elements)
+    samples = evolve_diagonal_series(good, np.linspace(-3.0, 3.0, 4), np.linspace(0.0, 50.0, 4))
+    with pytest.raises(ValueError, match=field):
+        DensityMatrix(p_grid=p_grid, elements=elements, mass=mass)
+    with pytest.raises(ValueError, match=field):
+        tomography_solve(samples, p_grid, mass=mass)
 
 
 def _sample_points(qgrid, seed, n_x=16, n_t=16, t_max=500.0):
@@ -469,6 +491,14 @@ def test_fidelity_is_phase_free(qgrid):
     psi = _state(qgrid)
     turned = WaveFunction(qgrid, np.exp(0.7j) * psi.values, normalized=True)
     assert fidelity(psi, turned) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fidelity_across_grids_is_a_grid_mismatch(qgrid):
+    psi = _state(qgrid)
+    shifted = WaveFunction(TimeGrid(qgrid.t_start + qgrid.dt, qgrid.dt, qgrid.n), psi.values)
+    with pytest.raises(GridMismatchError) as info:
+        fidelity(psi, shifted)
+    assert isinstance(info.value, ValueError)
 
 
 def _band_p_grid(qgrid, m):

@@ -129,7 +129,7 @@ def test_copy_sum_is_exact_at_full_order_and_stops_there(grid, band, s_w):
     cfg = SpectralCopyConfig(band=band, t_sn=T_SN, t_ds=window.width, k_max=8)
     result = spectral_copy_recover(r, cfg)
     assert _rel_band_l2(result.spectrum.values, s_hat.values, keep) <= 1e-12
-    assert result.k_used == 8 and result.last_term_l2 > 0.0
+    assert result.k_used == 8
     with pytest.raises(ValueError, match="k_max"):
         spectral_copy_recover(r, dataclasses.replace(cfg, k_max=50))
 

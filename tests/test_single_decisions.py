@@ -4,11 +4,16 @@ The bandlimit check, the concentration bound, the refusal wording of an
 invertibility report, the report check of a refusal, the test that t = 0
 is a grid point and the package's export lists each used to be copied
 into several places, where one copy could drift from the others.  These
-walk the syntax trees and fail when a second copy appears.
+walk the syntax trees and fail when a second copy appears.  A report's
+verdicts and counts are likewise read from the fields that decide them,
+never stored beside them.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import pytest
 
 import subgap
 from subgap import core, errors, experiments, projections, quantum, recovery, sampling
@@ -124,3 +129,17 @@ def test_series_steps_stay_in_the_gram_dimension():
         names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
         assert "e" not in names | attrs, ast.unparse(node)
+
+
+def test_reports_store_only_what_decides_them():
+    # every verdict and count is a property of these fields, so a report
+    # that contradicts itself cannot be built
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(recovery.InvertibilityReport) == ["lambda0", "wt"]
+    assert names(recovery.RecoveryReport) == [
+        "recovered", "residual_history", "contraction_estimate", "reason"
+    ]
+    with pytest.raises(errors.RefusalError):
+        recovery.InvertibilityReport(lambda0=0.99, wt=2.0)._require("a gap at WT = 2")
