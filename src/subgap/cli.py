@@ -9,16 +9,23 @@ Three subcommands::
 ``run`` executes the experiment named in a strictly validated JSON config,
 whose schema is built from ``experiments.SPECS``; ``fig2`` and ``audit``
 are shortcuts for the two headline runs with their built-in default
-configs.  The output directory is resolved in order from ``--out``, the
-config's ``outdir`` field, the ``SUBGAP_OUTDIR`` environment variable, and
-finally ``./out``.  Exit status is 0 when every check in the run's report
-passed and 1 when one failed.  A config error exits with status 2 and a
-diagnostic: the field the schema rejects or that is NaN or infinite, or the
-runner's ``ValueError`` for a config that does not fit the grid (a band past
-Nyquist, a window outside the grid, a sampling period off its lattice, a copy
-order ``k_max`` past T_SN/(2 dt), a grid without t = 0 as a point in
-``sampling`` or ``fig2``, fewer tomography samples than M^2) or, in ``fig2``, a
-``T_DS`` list without ``T_SN``.
+configs.  The config is checked in one walk over its schema, which reads
+the JSON Schema keywords ``type`` (object, array, string, number,
+integer), ``const``, ``properties``, ``required``, ``additionalProperties:
+false``, ``minimum``, ``exclusiveMinimum``, ``multipleOf``, ``items``,
+``minItems``, ``maxItems`` and ``uniqueItems`` by JSON Schema's rules: a
+bool is no number, and an integral float such as ``2.0`` is an integer,
+which reaches the runner as the int ``2``.  ``--seed`` is checked against
+the config's ``seed`` schema.  The output directory is resolved in order
+from ``--out``, the config's ``outdir`` field, the ``SUBGAP_OUTDIR``
+environment variable, and finally ``./out``.  Exit status is 0 when every
+check in the run's report passed and 1 when one failed.  A config error
+exits with status 2 and a diagnostic: the field the schema rejects or that
+is NaN or infinite, or the runner's ``ValueError`` for a config that does
+not fit the grid (a band past Nyquist, a window outside the grid, a
+sampling period off its lattice, a copy order ``k_max`` past T_SN/(2 dt), a
+grid without t = 0 as a point in ``sampling`` or ``fig2``, fewer tomography
+samples than M^2) or, in ``fig2``, a ``T_DS`` list without ``T_SN``.
 """
 
 from __future__ import annotations
@@ -29,8 +36,6 @@ import math
 import os
 import sys
 from pathlib import Path
-
-import jsonschema
 
 from .core import TimeGrid
 from .errors import ConfigError
@@ -73,51 +78,93 @@ SCHEMAS = {
     for kind, spec in SPECS.items()
 }
 
-#: built once: ``jsonschema.validate`` would re-check the schema per call
-_VALIDATORS = {
-    kind: jsonschema.validators.validator_for(schema)(schema)
-    for kind, schema in SCHEMAS.items()
-}
+
+def _fail(path, message):
+    loc = ".".join(str(p) for p in path)
+    raise ConfigError(f"field `{loc}`: {message}" if loc else message)
 
 
-def _require_finite(value, path=""):
-    """Raise ConfigError naming the dotted field path of a NaN or infinity."""
+def _has_type(value, kind):
+    """JSON Schema's ``type``: a bool is no number, and 2.0 is an integer."""
+    if kind in ("number", "integer"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return kind == "number" or isinstance(value, int) or value.is_integer()
+    return isinstance(value, {"object": dict, "array": list, "string": str}[kind])
+
+
+def _walk(schema, value, path=()):
+    """``value`` checked against ``schema``, with integer-typed values as int.
+
+    Raises ConfigError naming the dotted path of the first field rejected;
+    NaN and +-Infinity are rejected wherever they appear.
+    """
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"field `{path}`: must be a finite number, got {value}")
-    if isinstance(value, (dict, list)):
-        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            _require_finite(item, f"{path}.{key}" if path else str(key))
+        _fail(path, f"must be a finite number, got {value}")
+    kind = schema.get("type")
+    if kind is not None and not _has_type(value, kind):
+        _fail(path, f"{value!r} is not of type {kind!r}")
+    if "const" in schema and value != schema["const"]:
+        _fail(path, f"{schema['const']!r} was expected")
+    if "minimum" in schema and value < schema["minimum"]:
+        _fail(path, f"{value!r} is less than the minimum of {schema['minimum']!r}")
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        bound = schema["exclusiveMinimum"]
+        _fail(path, f"{value!r} is less than or equal to the minimum of {bound!r}")
+    if "multipleOf" in schema and value % schema["multipleOf"]:
+        _fail(path, f"{value!r} is not a multiple of {schema['multipleOf']!r}")
+    if kind == "integer":
+        return int(value)
+    if kind == "object":
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                _fail(path, f"{key!r} is a required property")
+        extra = [key for key in value if key not in props]
+        if extra and schema.get("additionalProperties") is False:
+            _fail(path, f"Additional properties are not allowed ({extra[0]!r} was unexpected)")
+        return {
+            key: _walk(props[key], item, (*path, key)) if key in props else item
+            for key, item in value.items()
+        }
+    if kind == "array":
+        if len(value) < schema.get("minItems", 0):
+            _fail(path, f"{value!r} is too short")
+        if len(value) > schema.get("maxItems", math.inf):
+            _fail(path, f"{value!r} is too long")
+        items = schema.get("items", {})
+        value = [_walk(items, item, (*path, i)) for i, item in enumerate(value)]
+        if schema.get("uniqueItems") and any(
+            item in value[i + 1 :] for i, item in enumerate(value)
+        ):
+            _fail(path, f"{value!r} has non-unique elements")
+    return value
 
 
 def validate_config(cfg):
     """Validate a parsed config and translate it to runner arguments.
 
     Returns (experiment kind, runner kwargs, grid or None, seed, outdir or
-    None).  Raises :class:`ConfigError` with the offending field named.
+    None), integer fields as int.  Raises :class:`ConfigError` with the
+    offending field named.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     kind = cfg.get("experiment")
-    if kind not in SCHEMAS:
+    if not isinstance(kind, str) or kind not in SCHEMAS:
         raise ConfigError(
             f"field `experiment` must be one of {sorted(SCHEMAS)}, got {kind!r}"
         )
-    _require_finite(cfg)
-    exc = jsonschema.exceptions.best_match(_VALIDATORS[kind].iter_errors(cfg))
-    if exc is not None:
-        loc = ".".join(str(p) for p in exc.absolute_path)
-        if loc:
-            raise ConfigError(f"field `{loc}`: {exc.message}") from exc
-        raise ConfigError(exc.message) from exc
+    cfg = _walk(SCHEMAS[kind], cfg)
     kwargs = {kw: cfg[key] for key, (kw, *_) in SPECS[kind].items() if key in cfg}
     grid = None
     if "grid" in cfg:
         g = cfg["grid"]
         try:
-            grid = TimeGrid(float(g["start"]), float(g["step"]), int(g["n"]))
+            grid = TimeGrid(float(g["start"]), float(g["step"]), g["n"])
         except ValueError as exc:
             raise ConfigError(f"field `grid`: {exc}") from exc
-    return kind, kwargs, grid, int(cfg.get("seed", 0)), cfg.get("outdir")
+    return kind, kwargs, grid, cfg.get("seed", 0), cfg.get("outdir")
 
 
 def resolve_outdir(cli_out, cfg_out=None) -> Path:
@@ -181,11 +228,11 @@ def main(argv=None) -> int:
             return 2
         try:
             kind, kwargs, grid, seed, cfg_out = validate_config(cfg)
+            if args.seed is not None:
+                seed = _walk(_COMMON["seed"], args.seed, ("seed",))
         except ConfigError as exc:
             print(f"error: invalid config: {exc}", file=sys.stderr)
             return 2
-        if args.seed is not None:
-            seed = args.seed
         outdir = resolve_outdir(args.out, cfg_out)
         try:
             report = EXPERIMENTS[kind](outdir, seed=seed, grid=grid, **kwargs)

@@ -157,8 +157,10 @@ def _gated_exponentials(grid: TimeGrid, band: Interval, window: Interval):
 class _ConcentrationOperator:
     """P_W P_T P_W = c * E E^H with lambda0 and the Gram matrix it came from.
 
-    ``gram`` is E^H E when K < M, else E E^H.  Its arrays are read-only:
-    every caller on the same (grid, band, window) shares the record.
+    ``on_window`` is K < M, the one decision of the Gram dimension: ``gram``
+    is then E^H E, on the window's K samples, else E E^H, on the M in-band
+    bins.  Its arrays are read-only: every caller on the same (grid, band,
+    window) shares the record.
     """
 
     e: np.ndarray
@@ -166,6 +168,7 @@ class _ConcentrationOperator:
     bins: np.ndarray
     gates: np.ndarray
     lambda0: float
+    on_window: bool
     gram: np.ndarray
 
 
@@ -177,11 +180,12 @@ def _concentration_operator(grid: TimeGrid, band: Interval, window: Interval):
     solvers in a row, a noise sweep, operator_norm_sq then prolate_matrix.
     """
     e, c, bins, gates = _gated_exponentials(grid, band, window)
-    gram = e.conj().T @ e if e.shape[1] < e.shape[0] else e @ e.conj().T
-    lam = float(c * np.linalg.eigvalsh(gram)[-1]) if e.shape[1] else 0.0
+    on_window = gates.size < bins.size
+    gram = e.conj().T @ e if on_window else e @ e.conj().T
+    lam = float(c * np.linalg.eigvalsh(gram)[-1]) if gates.size else 0.0
     for a in (e, bins, gates, gram):
         a.setflags(write=False)
-    return _ConcentrationOperator(e, c, bins, gates, lam, gram)
+    return _ConcentrationOperator(e, c, bins, gates, lam, on_window, gram)
 
 
 def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:

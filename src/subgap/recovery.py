@@ -183,8 +183,7 @@ def _prepared(r: SampledSignal, band: Interval, window: Interval):
     if not report.invertible:
         return report, op, None, None
     q = np.fft.ifft(r.values)[op.bins] * r.grid.n
-    on_window = op.gram.shape[0] < q.size
-    return report, op, q, op.e.conj().T @ q / r.grid.n if on_window else q
+    return report, op, q, op.e.conj().T @ q / r.grid.n if op.on_window else q
 
 
 def _norm(x: np.ndarray) -> float:
@@ -258,12 +257,12 @@ def recover_neumann(
     its window samples h_k = E^H u_{k-1} / n follow the series in dimension
     min(M, K) at O(min(M, K)^2) per step, after one FFT of r.
     """
-    report, op, q, c = _prepared(r, band, window)
+    report, op, _, c = _prepared(r, band, window)
     if not report.invertible:
         return _refusal(report)
     if k_max is None:
         k_max = _default_k_max(report.wt, tol)
-    n, g, on_window = r.grid.n, op.gram, c.size < q.size
+    n, g, on_window = r.grid.n, op.gram, op.on_window
     r_t = r.values[op.gates]
     outside = np.delete(r.values, op.gates)
     out_sq = float(np.vdot(outside, outside).real)
@@ -305,7 +304,7 @@ def recover_band_neumann(
         return _refusal(report)
     if k_max is None:
         k_max = _default_k_max(report.wt, tol)
-    n, g, on_window = r.grid.n, op.gram, c.size < q.size
+    n, g, on_window = r.grid.n, op.gram, op.on_window
     q_sq = _norm(q) ** 2
 
     def measure(z, z_prev, gz):
@@ -349,7 +348,7 @@ def recover_direct(r: SampledSignal, band: Interval, window: Interval) -> Sample
             f"{DIRECT_SOLVE_DIM_LIMIT}"
         )
     z = np.linalg.solve(np.eye(c.size) - op.gram / r.grid.n, c)
-    u = q + op.e @ z if c.size < q.size else z
+    u = q + op.e @ z if op.on_window else z
     return _in_band_signal(r.grid, op.bins, u)
 
 

@@ -19,6 +19,7 @@ spectrum of the samples, which is s_hat on the band.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -226,6 +227,34 @@ def periodized_spectrum(c: CombSamples) -> Spectrum:
     return Spectrum(g.dual, c.period * g.n * np.fft.fftshift(np.fft.ifft(comb)))
 
 
+def _copy_sums(r: SampledSignal, cfg: SpectralCopyConfig):
+    """Yield the copy sums of r_hat for k = 0, 1, ..., m // 2, not yet banded.
+
+    m = t_sn/dt; copy k adds the cyclic shifts of r_hat by +-k n/m bins (at
+    2k = m the two coincide and count once).  One forward FFT serves every
+    order, and each yield is the one running buffer, which the next step
+    overwrites.  The guards of :func:`spectral_copy_recover` run first,
+    ``cfg.k_max`` included.
+    """
+    g = r.grid
+    m = _multiple("t_sn", cfg.t_sn, g.dt)
+    _origin(g)
+    if g.n % m:
+        raise ValueError(f"t_sn/dt = {m} does not divide n = {g.n}")
+    if cfg.k_max > m // 2:
+        raise ValueError(f"k_max = {cfg.k_max} exceeds t_sn/(2 dt) = {m // 2}, the exact order")
+    rhat = forward_spectrum(r)
+    step = g.n // m
+    acc = rhat.values.copy()
+    yield acc
+    for k in range(1, m // 2 + 1):
+        pair = np.roll(rhat.values, k * step)
+        if 2 * k != m:
+            pair += np.roll(rhat.values, -k * step)
+        acc += pair
+        yield acc
+
+
 def spectral_copy_recover(r: SampledSignal, cfg: SpectralCopyConfig) -> SpectralCopyResult:
     """Fold periodized copies of the observed spectrum back into the band.
 
@@ -238,23 +267,10 @@ def spectral_copy_recover(r: SampledSignal, cfg: SpectralCopyConfig) -> Spectral
     ValueError unless m is an integer dividing n, t = 0 is a grid point
     and k_max <= m // 2, past which the copies only repeat.
     """
-    g = r.grid
-    m = _multiple("t_sn", cfg.t_sn, g.dt)
-    _origin(g)
-    if g.n % m:
-        raise ValueError(f"t_sn/dt = {m} does not divide n = {g.n}")
-    if cfg.k_max > m // 2:
-        raise ValueError(f"k_max = {cfg.k_max} exceeds t_sn/(2 dt) = {m // 2}, the exact order")
-    rhat = forward_spectrum(r)
-    step = g.n // m
-    acc = rhat.values.copy()
-    for k in range(1, cfg.k_max + 1):
-        pair = np.roll(rhat.values, k * step)
-        if 2 * k != m:
-            pair += np.roll(rhat.values, -k * step)
-        acc += pair
-    acc[~cfg.band.mask(rhat.grid.frequencies)] = 0.0
-    return SpectralCopyResult(spectrum=Spectrum(rhat.grid, acc), k_used=cfg.k_max)
+    acc = next(itertools.islice(_copy_sums(r, cfg), cfg.k_max, None))
+    grid = r.grid.dual
+    acc[~cfg.band.mask(grid.frequencies)] = 0.0
+    return SpectralCopyResult(spectrum=Spectrum(grid, acc), k_used=cfg.k_max)
 
 
 def band_approx_first_term(r: SampledSignal, band: Interval, t_ds: float) -> BandApproxResult:

@@ -1,13 +1,22 @@
 """Config validation and the subgap command line."""
 
+import ast
+import copy
+import functools
 import inspect
 import json
 import math
+import operator
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import subgap
 from subgap import ConfigError, default_grid, recovery
 from subgap.cli import OUTDIR_ENV, SCHEMAS, main, resolve_outdir, validate_config
 from subgap.experiments import EXPERIMENTS, SPECS, default_quantum_grid
@@ -67,16 +76,23 @@ def _int_literals(value):
     return value
 
 
+def _full(kind):
+    """A config setting every spec key to the runner's default, plus seed and
+    grid: the report's config echo of the run."""
+    params = inspect.signature(EXPERIMENTS[kind]).parameters
+    grid = default_quantum_grid() if kind == "quantum_pipeline" else default_grid()
+    cfg = {key: params[kw].default for key, (kw, _, _) in SPECS[kind].items()}
+    cfg = json.loads(json.dumps(cfg))
+    cfg.update(experiment=kind, seed=3)
+    cfg["grid"] = {"start": grid.t_start, "step": grid.dt, "n": grid.n}
+    return cfg
+
+
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_report_echoes_every_spec_key(kind, tmp_path):
     """Every spec key set from the runner's default, written as int literals
     where integral, comes back in the report with numbers as floats."""
-    params = inspect.signature(EXPERIMENTS[kind]).parameters
-    grid = default_quantum_grid() if kind == "quantum_pipeline" else default_grid()
-    echo = {key: params[kw].default for key, (kw, _, _) in SPECS[kind].items()}
-    echo = json.loads(json.dumps(echo))
-    echo.update(experiment=kind, seed=3)
-    echo["grid"] = {"start": grid.t_start, "step": grid.dt, "n": grid.n}
+    echo = _full(kind)
     cfg = dict(_int_literals(echo), outdir=str(tmp_path / "out"))
     assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -180,6 +196,9 @@ def test_config_must_be_an_object():
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigError, match="experiment"):
         validate_config({"experiment": "frobnicate"})
+    # an unhashable value used to escape as a TypeError from the dict lookup
+    with pytest.raises(ConfigError, match="experiment"):
+        validate_config({"experiment": ["fig2"]})
 
 
 def test_wrong_type_rejected():
@@ -262,6 +281,20 @@ def test_audit_subcommand_and_column_names(tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+def _assert_same_outputs(out1, out2):
+    """Assert two run directories hold byte-identical artifacts and equal
+    reports apart from ``wall_time_s``; return the artifact names."""
+    names = sorted(p.name for p in out1.iterdir() if p.name != "report.json")
+    assert names == sorted(p.name for p in out2.iterdir() if p.name != "report.json")
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    reports = [json.loads((out / "report.json").read_text()) for out in (out1, out2)]
+    for report in reports:
+        del report["wall_time_s"]
+    assert reports[0] == reports[1]
+    return names
+
+
 #: one config past the limit per kind with a refusal branch
 PAST_THE_LIMIT = {
     "recovery": {"T_DS": 1.0},
@@ -290,17 +323,11 @@ def test_runs_are_byte_identical(tmp_path, kind, past):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert main(["run", str(cfg), "--out", str(out1)]) == 0
     assert main(["run", str(cfg), "--out", str(out2)]) == 0
-    names = sorted(p.name for p in out1.iterdir() if p.name != "report.json")
+    names = _assert_same_outputs(out1, out2)
     if past:  # a refusing run writes its report alone
         assert names == []
     else:
         assert any(name.endswith(".csv") for name in names), "expected CSV artifacts"
-    for name in names:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-    reports = [json.loads((out / "report.json").read_text()) for out in (out1, out2)]
-    for report in reports:
-        del report["wall_time_s"]
-    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(
@@ -350,3 +377,168 @@ def test_direct_solve_runs_with_more_than_4096_in_band_bins(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert "series_matches_direct_solve" in {c["name"] for c in report["checks"]}
+
+
+#: the JSON Schema keywords the CLI's walker reads, and the types it knows
+WALKER_KEYWORDS = {
+    "type", "const", "properties", "required", "additionalProperties",
+    "minimum", "exclusiveMinimum", "multipleOf",
+    "items", "minItems", "maxItems", "uniqueItems",
+}
+WALKER_TYPES = {"object", "array", "string", "number", "integer"}
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+#: every shipped config, every MINIMAL config and one setting every key
+BASES = {
+    **{f"configs/{path.name}": json.loads(path.read_text()) for path in CONFIGS},
+    **{f"minimal-{kind}": cfg for kind, cfg in MINIMAL.items()},
+    **{f"full-{kind}": dict(_full(kind), outdir="out") for kind in SPECS},
+}
+_MISSING = object()
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_schemas_use_only_the_walkers_keywords():
+    subs = [sub for schema in SCHEMAS.values() for sub in _subschemas(schema)]
+    assert {keyword for sub in subs for keyword in sub} <= WALKER_KEYWORDS
+    assert {sub["type"] for sub in subs if "type" in sub} <= WALKER_TYPES
+    closed = {sub["additionalProperties"] for sub in subs if "additionalProperties" in sub}
+    assert closed == {False}
+
+
+def _faults(schema, value, path=()):
+    """(path, replacement) for single faults of the valid ``value``, and for
+    a few valid variants; a replacement of _MISSING deletes the key."""
+    kind = schema.get("type")
+    if path:
+        yield path, True
+        yield path, 1 if kind == "string" else "x"
+    if kind in ("number", "integer"):
+        for bad in (0, -1, float(value), value + 0.5, math.nan, math.inf, -math.inf):
+            yield path, bad
+    if "multipleOf" in schema:
+        yield path, value + 1
+    if kind == "object":
+        for key in schema["required"]:
+            yield (*path, key), _MISSING
+        yield (*path, "bogus"), 1
+        for key, item in value.items():
+            yield from _faults(schema["properties"][key], item, (*path, key))
+    if kind == "array":
+        # empty; one item short; one item repeated, so also one too many
+        for bad in ([], value[:-1], value + value[:1]):
+            yield path, bad
+        for i, item in enumerate(value):
+            yield from _faults(schema["items"], item, (*path, i))
+
+
+def _mutated(cfg, path, new):
+    cfg = copy.deepcopy(cfg)
+    *head, last = path
+    node = functools.reduce(operator.getitem, head, cfg)
+    if new is _MISSING:
+        del node[last]
+    else:
+        node[last] = new
+    return cfg
+
+
+def _walker_path(cfg):
+    """The field path validate_config names, [] for none; None if it accepts."""
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        named = re.match(r"field `([^`]*)`", str(exc))
+        return named.group(1).split(".") if named else []
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_walker_agrees_with_jsonschema(name):
+    """jsonschema is the oracle: the same verdict on every single fault, and
+    a field path that extends jsonschema's; only NaN and +-Infinity, which
+    JSON Schema counts as numbers, are rejected by the walker alone."""
+    base = BASES[name]
+    schema = SCHEMAS[base["experiment"]]
+    oracle = jsonschema.validators.validator_for(schema)(schema)
+    verdicts = []
+    for path, new in [((), None), *_faults(schema, base)]:
+        cfg = base if not path else _mutated(base, path, new)
+        error = jsonschema.exceptions.best_match(oracle.iter_errors(cfg))
+        got = _walker_path(cfg)
+        case = (path, new)
+        if isinstance(new, float) and not math.isfinite(new):
+            assert got == [str(p) for p in path], case
+            continue
+        if error is None:
+            assert got is None, case
+        else:
+            expected = [str(p) for p in error.absolute_path]
+            assert got is not None and got[: len(expected)] == expected, case
+        verdicts.append(error is None)
+    assert verdicts[0] and verdicts.count(False) >= 10 and verdicts.count(True) >= 2
+
+
+#: every integer-typed key of SPECS, plus seed and grid.n
+INTEGER_FIELDS = [
+    (kind, (key,))
+    for kind, spec in sorted(SPECS.items())
+    for key, (_, schema, _) in spec.items()
+    if schema["type"] == "integer"
+] + [("quantum_pipeline", ("seed",)), ("sampling", ("grid", "n"))]
+
+
+@pytest.mark.parametrize(
+    "kind,path", INTEGER_FIELDS, ids=[f"{k}-{'.'.join(p)}" for k, p in INTEGER_FIELDS]
+)
+def test_integral_float_runs_as_its_integer(tmp_path, kind, path):
+    # JSON Schema counts 16.0 as an integer; the runner must get the int 16,
+    # where rng.uniform and range() used to raise TypeError
+    cfg = _full(kind)
+    value = functools.reduce(operator.getitem, path, cfg)
+    assert isinstance(value, int)
+    outs = []
+    for literal in (value, float(value)):
+        written = _write_cfg(tmp_path, _mutated(cfg, path, literal), f"{literal!r}.json")
+        outs.append(tmp_path / repr(literal))
+        assert main(["run", str(written), "--out", str(outs[-1])]) == 0
+    _assert_same_outputs(*outs)
+
+
+@pytest.mark.parametrize("kind", sorted(MINIMAL))
+def test_seed_flag_meets_the_seed_schema(tmp_path, capsys, kind):
+    # one rule for the flag and the field: stability used to exit 2 with
+    # numpy's message and recovery to write "seed": -1 into its report
+    out = tmp_path / "o"
+    argv = ["run", str(_write_cfg(tmp_path, MINIMAL[kind])), "--out", str(out)]
+    assert main([*argv, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: field `seed`: -1 is less than"), err
+    assert not out.exists()
+
+
+def test_runtime_imports_numpy_and_the_standard_library_only():
+    src = Path(subgap.__file__).resolve().parent
+    code = "import sys, subgap.cli; print('jsonschema' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"
+    allowed = set(sys.stdlib_module_names) | {"numpy", "subgap"}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert {name.split(".")[0] for name in names} <= allowed, (path.name, names)

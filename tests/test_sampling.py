@@ -30,6 +30,7 @@ from subgap import (
     sinc_reconstruct,
     spectral_copy_recover,
 )
+from subgap import experiments, sampling
 
 T_SN = 0.25
 
@@ -117,6 +118,33 @@ def test_copy_sum_error_strictly_decreases(grid, band, s_w):
     assert errs[0] > errs[1] > errs[2]
     # convergence is slow: no term wins more than a modest factor
     assert errs[2] > 0.1
+
+
+def test_copy_errors_read_every_order_from_one_transform(grid, band, s_w, monkeypatch):
+    # the run's errors and k_max spectrum equal the per-order calls, from
+    # one forward FFT of r for every order up to the full one
+    window = _gap_between_samples(grid)
+    r = erase(s_w, ErasureModel(window=window, source_band=band))
+    s_hat = forward_spectrum(s_w)
+    keep = band.mask(s_hat.grid.frequencies)
+    sums = [
+        spectral_copy_recover(
+            r, SpectralCopyConfig(band=band, t_sn=T_SN, t_ds=window.width, k_max=k)
+        ).spectrum
+        for k in range(4)
+    ]
+    calls = []
+    monkeypatch.setattr(
+        sampling, "forward_spectrum", lambda x: calls.append(x) or forward_spectrum(x)
+    )
+    checks = []
+    errs, spectrum = experiments._copy_errors(checks, r, s_hat, band, T_SN, window.width, 3)
+    assert len(calls) == 1
+    assert errs == [_band_l2(spec.values, s_hat, keep) for spec in sums]
+    assert np.array_equal(spectrum.values, sums[3].values)
+    assert [c["name"] for c in checks if c["passed"]] == [
+        "copy_sum_error_decreases", "copy_sum_exact_at_full_order"
+    ]
 
 
 def test_copy_sum_is_exact_at_full_order_and_stops_there(grid, band, s_w):

@@ -98,7 +98,7 @@ def test_t_zero_on_the_grid_is_decided_by_one_helper():
     ]
     assert on_t_start == ["_origin"]
     callers = sorted(fn for _, fn, _ in _sites(tree, "_origin"))
-    assert callers == ["comb_sample", "sinc_reconstruct", "spectral_copy_recover"]
+    assert callers == ["_copy_sums", "comb_sample", "sinc_reconstruct"]
 
 
 def test_no_name_is_exported_by_two_modules():
@@ -129,6 +129,28 @@ def test_series_steps_stay_in_the_gram_dimension():
         names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
         assert "e" not in names | attrs, ast.unparse(node)
+
+
+def test_gram_orientation_is_decided_once():
+    # "the Gram dimension is the window's, K < M" is worked out from array
+    # sizes in the operator's one build; the solvers read op.on_window
+    sites = []
+    for module in (projections, recovery):
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, ast.FunctionDef):
+                sites += [
+                    (module.__name__, node.name)
+                    for cmp in ast.walk(node)
+                    if isinstance(cmp, ast.Compare)
+                    and all(
+                        any(
+                            isinstance(n, ast.Attribute) and n.attr in ("size", "shape")
+                            for n in ast.walk(side)
+                        )
+                        for side in (cmp.left, *cmp.comparators)
+                    )
+                ]
+    assert sites == [("subgap.projections", "_concentration_operator")]
 
 
 def test_reports_store_only_what_decides_them():
