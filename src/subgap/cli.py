@@ -25,7 +25,9 @@ is NaN or infinite, or the runner's ``ValueError`` for a config that does
 not fit the grid (a band past Nyquist, a window outside the grid, a
 sampling period off its lattice, a copy order ``k_max`` past T_SN/(2 dt), a
 grid without t = 0 as a point in ``sampling`` or ``fig2``, fewer tomography
-samples than M^2) or, in ``fig2``, a ``T_DS`` list without ``T_SN``.
+samples than M^2), in ``fig2``, a ``T_DS`` list without ``T_SN``, or values
+that would share a check name (``T_DS`` labels, ``bounds_audit`` pairs or
+``stability`` sigmas).
 """
 
 from __future__ import annotations

@@ -51,6 +51,8 @@ from .projections import (
     prolate_matrix,
 )
 from .quantum import (
+    DESIGN_COND_LIMIT,
+    RANK1_TOL,
     PhaseSpaceWindows,
     WaveFunction,
     build_density,
@@ -217,6 +219,14 @@ def _t_label(t_ds: float) -> str:
     return f"{t_ds:g}".replace(".", "")
 
 
+def _distinct(field: str, labels: list[str]) -> list[str]:
+    """``labels``, or ValueError naming ``field`` if two values share one."""
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"field `{field}`: values share the labels {repeated}")
+    return labels
+
+
 def _gap_window(t_sn: float, t_ds: float, dt: float) -> Interval:
     """The erased interval, kept strictly between comb sample instants.
 
@@ -288,6 +298,7 @@ def run_fig2(
             f"field `T_DS` must contain T_SN = {t_sn:g}: the copy-sum "
             "recovery runs on the gap as wide as the sampling period"
         )
+    labels = _distinct("T_DS", [_t_label(t_ds) for t_ds in t_ds_values])
     band = Interval(0.0, w)
     s_w = band_project(make_demo_signal(grid), band)
     s_hat = forward_spectrum(s_w)
@@ -297,15 +308,14 @@ def run_fig2(
 
     checks = []
     metrics = {"band_integral_s_hat": band_integral}
-    columns = [("w", None)] + complex_columns("s_hat", s_hat.values)
-    series = [("s_hat", None, s_hat.values.real)]
+    columns = [("w", freqs)] + complex_columns("s_hat", s_hat.values)
+    series = [("s_hat", s_hat.values.real)]
 
     sup_errs = {}
-    for t_ds in t_ds_values:
+    for t_ds, label in zip(t_ds_values, labels):
         window = _gap_window(t_sn, t_ds, grid.dt)
         r = erase(s_w, ErasureModel(window=window, source_band=band))
         approx = band_approx_first_term(r, band, window.width)
-        label = _t_label(t_ds)
         sup_err = _sup(approx.approx.values[in_band] - s_hat.values[in_band])
         sup_errs[t_ds] = sup_err
         report = invertibility_report(grid, band, window)
@@ -322,7 +332,7 @@ def run_fig2(
                 "WT >= 1 must be flagged distorted and non-invertible",
             )
         columns += complex_columns(f"pwr_hat_T{label}", approx.approx.values)
-        series.append((f"P_W r_hat, T_DS={t_ds:g}", None, approx.approx.values.real))
+        series.append((f"P_W r_hat, T_DS={t_ds:g}", approx.approx.values.real))
         if abs(t_ds - t_sn) <= 1e-12:
             copy_r, copy_width = r, window.width
 
@@ -343,19 +353,14 @@ def run_fig2(
         checks, copy_r, s_hat, band, t_sn, copy_width, k_max
     )
     columns += complex_columns(f"recovered_k{k_max}", rec_spec.values)
-    series.append((f"copy sum, k_max={k_max}", None, rec_spec.values.real))
+    series.append((f"copy sum, k_max={k_max}", rec_spec.values.real))
 
     disp = np.abs(freqs) <= w + 1e-12
-    header = [name for name, _ in columns]
-    rows = zip(
-        freqs[disp],
-        *[vals[disp] for name, vals in columns[1:]],
-    )
     artifacts = [
-        write_csv(outdir / "fig2.csv", header, rows),
+        write_csv(outdir / "fig2.csv", [(name, vals[disp]) for name, vals in columns]),
         write_svg_lines(
             outdir / "fig2.svg",
-            [(label, freqs[disp], vals[disp]) for label, _, vals in series],
+            [(label, freqs[disp], vals[disp]) for label, vals in series],
             title="band restriction of gapped data",
         ),
     ]
@@ -381,9 +386,9 @@ def run_bounds_audit(
     and the band spill of its gated copy against lambda0.
     """
     checks = []
-    rows = []
     traces = {}
-    for w, t in pairs:
+    keys = _distinct("pairs", [f"W={w:g},T={t:g}" for w, t in pairs])
+    for key, (w, t) in zip(keys, pairs):
         band = Interval(0.0, float(w))
         window = Interval(0.0, float(t))
         wt = float(w) * float(t)
@@ -401,7 +406,6 @@ def run_bounds_audit(
             and conc <= lam + LAMBDA0_TOL
             and spill >= 1.0 - lam - LAMBDA0_TOL
         )
-        key = f"W={w:g},T={t:g}"
         traces[key] = trace
         _check(
             checks,
@@ -422,14 +426,12 @@ def run_bounds_audit(
                 "spill_min": 1.0 - lam - LAMBDA0_TOL,
             },
         )
-        rows.append((float(w), float(t), wt, lam, conc, spill, ok))
-    artifacts = [
-        write_csv(
-            outdir / "bounds_audit.csv",
-            ["W", "T", "WT", "lambda0", "conc_ratio", "spill_ratio", "pass"],
-            rows,
-        )
-    ]
+    ws, ts = np.array(pairs, dtype=float).T
+    columns = [("W", ws), ("T", ts), ("WT", ws * ts)]
+    for k in ("lambda0", "conc_ratio", "spill_ratio"):
+        columns.append((k, [c["value"][k] for c in checks]))
+    columns.append(("pass", [c["passed"] for c in checks]))
+    artifacts = [write_csv(outdir / "bounds_audit.csv", columns)]
     return checks, {"traces": traces}, artifacts
 
 
@@ -510,8 +512,10 @@ def run_recovery(
     artifacts = [
         write_csv(
             outdir / "recovery.csv",
-            ["iter", "residual"],
-            [(i + 1, float(res)) for i, res in enumerate(rec.residual_history)],
+            [
+                ("iter", np.arange(1, rec.iterations + 1)),
+                ("residual", rec.residual_history),
+            ],
         ),
         write_signal_csv(outdir / "recovered.csv", rec.recovered),
         write_svg_lines(
@@ -549,6 +553,7 @@ def run_stability(
     the run passes when the refusal is consistent with WT >= 1 (or lambda0
     at 1).
     """
+    labels = _distinct("sigmas", [f"{sigma:g}" for sigma in sigmas])
     band = Interval(0.0, w)
     window = Interval(0.0, t_ds)
     s_w = band_project(make_demo_signal(grid), band)
@@ -560,20 +565,16 @@ def run_stability(
         _limit_refusal(checks, inv, "WT", w * t_ds, "the sweep refuses")
         metrics = {"WT": inv.wt, "lambda0": inv.lambda0, "invertible": inv.invertible}
         return checks, metrics, []
-    for row in rows:
+    for label, row in zip(labels, rows):
         _at_most(
             checks,
-            f"amplification_bounded_sigma={row.sigma:g}",
+            f"amplification_bounded_sigma={label}",
             row.amplification,
             row.bound,
         )
-    artifacts = [
-        write_csv(
-            outdir / "stability.csv",
-            ["sigma", "err", "amplification", "bound"],
-            [(r.sigma, r.err, r.amplification, r.bound) for r in rows],
-        )
-    ]
+    names = ("sigma", "err", "amplification", "bound")
+    columns = [(k, [getattr(row, k) for row in rows]) for k in names]
+    artifacts = [write_csv(outdir / "stability.csv", columns)]
     return checks, {"bound": rows[0].bound if rows else None}, artifacts
 
 
@@ -594,9 +595,10 @@ def run_sampling(
 ):
     """Comb sampling at and above the critical period, plus copy recovery.
 
-    Checks interpolation exactness on the interior half of the grid at
-    period t_sn, the aliasing deviation of the periodized spectrum at
-    period 1, and the copy-sum error decrease for the gapped signal.
+    Checks interpolation exactness on the interior half of the grid, about
+    its centre, at period t_sn, the aliasing deviation of the periodized
+    spectrum at period 1, and the copy-sum error decrease for the gapped
+    signal.
     """
     band = Interval(0.0, w)
     s_w = band_project(make_demo_signal(grid), band)
@@ -607,7 +609,7 @@ def run_sampling(
 
     samples = comb_sample(s_w, t_sn)
     recon = band_interpolate(samples, band)
-    interior = np.abs(grid.times) <= grid.span / 4.0
+    interior = np.abs(grid.times - (grid.t_start + grid.span / 2.0)) <= grid.span / 4.0
     interior_err = _sup(recon.values[interior] - s_w.values[interior]) / _sup(
         s_w.values
     )
@@ -627,8 +629,7 @@ def run_sampling(
         write_spectrum_csv(outdir / "periodized.csv", aliased),
         write_csv(
             outdir / "copy_errors.csv",
-            ["k_max", "err"],
-            [(k, e) for k, e in enumerate(copy_errs)],
+            [("k_max", np.arange(len(copy_errs))), ("err", copy_errs)],
         ),
         write_svg_lines(
             outdir / "sampling.svg",
@@ -736,10 +737,9 @@ def run_quantum_pipeline(
         }
     )
     _at_most(checks, "tomography_max_abs_error", fit_err, 1e-6)
-    _at_most(
-        checks, "tomography_design_well_conditioned", fit.condition_number, 1e10
-    )
-    _at_most(checks, "fitted_matrix_rank1", float(evals[-2]), 1e-6)
+    cond = fit.condition_number
+    _at_most(checks, "tomography_design_well_conditioned", cond, DESIGN_COND_LIMIT)
+    _at_most(checks, "fitted_matrix_rank1", float(evals[-2]), RANK1_TOL)
     try:
         psi_rec = recover_state(psi_extract, windows)
     except RefusalError as exc:

@@ -1,10 +1,11 @@
 """Deterministic artifact writers: CSV, JSON, and a minimal SVG line chart.
 
-Every writer produces byte-identical output for identical inputs: floats
-are printed as %.16e (17 significant digits, enough to round-trip a
-double), JSON keys are sorted, and newlines are always "\\n".  Figures are
-emitted as data (CSV) with an optional static SVG rendering; there is no
-plotting dependency.
+Every writer produces byte-identical output for identical inputs: CSV
+columns are formatted by their dtype, floats as %.16e (17 significant
+digits, enough to round-trip a double), integers as written and bools as
+1/0; JSON keys are sorted, and newlines are always "\\n".  Figures are
+emitted as data (CSV) with a static SVG rendering; there is no plotting
+dependency.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .core import SampledSignal, Spectrum
 from .quantum import DensityMatrix
 
 __all__ = [
-    "format_cell",
     "write_csv",
     "write_signal_csv",
     "write_spectrum_csv",
@@ -29,61 +29,47 @@ __all__ = [
 ]
 
 
-def format_cell(value) -> str:
-    """One CSV cell: floats as %.16e, bools as 1/0, ints and text as-is."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.16e}"
-    if isinstance(value, str):
-        return value
-    raise TypeError(f"cannot format {type(value).__name__} as a CSV cell")
+def write_csv(path, columns) -> Path:
+    """Write ``columns``, a list of (name, values) pairs of equal length.
 
-
-def write_csv(path, header, rows) -> Path:
-    """Write ``rows`` (iterables of cells) under a ``header`` list."""
+    Each column is formatted once, by its dtype: floats as %.16e, integers
+    as written and bools as 1/0.  A column of any other dtype or shape
+    raises TypeError, and columns of unequal length raise ValueError.
+    """
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [format_cell(c) for c in row]
-        if len(cells) != len(header):
-            raise ValueError(
-                f"row has {len(cells)} cells, header has {len(header)}"
-            )
-        lines.append(",".join(cells))
+    names, cells = [], []
+    for name, values in columns:
+        v = np.asarray(values)
+        if v.dtype.kind not in "biuf":
+            raise TypeError(f"column `{name}` is {v.dtype}, not float, int or bool")
+        rule = "{:.16e}" if v.dtype.kind == "f" else "{:d}"
+        names.append(name)
+        cells.append(list(map(rule.format, v.tolist())))
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in cells]}")
+    lines = [",".join(names), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
 def write_signal_csv(path, s: SampledSignal) -> Path:
     """Time-domain samples as `t,re,im`."""
-    t = s.grid.times
-    return write_csv(
-        path, ["t", "re", "im"],
-        zip(t, s.values.real, s.values.imag),
-    )
+    t, v = s.grid.times, s.values
+    return write_csv(path, [("t", t), ("re", v.real), ("im", v.imag)])
 
 
 def write_spectrum_csv(path, spec: Spectrum) -> Path:
     """Frequency-domain samples as `w,re,im`."""
-    w = spec.grid.frequencies
-    return write_csv(
-        path, ["w", "re", "im"],
-        zip(w, spec.values.real, spec.values.imag),
-    )
+    w, v = spec.grid.frequencies, spec.values
+    return write_csv(path, [("w", w), ("re", v.real), ("im", v.imag)])
 
 
 def write_density_csv(path, rho: DensityMatrix) -> Path:
     """Density-matrix entries as `j,k,re,im`, row-major."""
     m = rho.p_grid.size
-    rows = (
-        (j, k, rho.elements[j, k].real, rho.elements[j, k].imag)
-        for j in range(m)
-        for k in range(m)
-    )
-    return write_csv(path, ["j", "k", "re", "im"], rows)
+    j, k = np.divmod(np.arange(m * m), m)
+    v = rho.elements.ravel()
+    return write_csv(path, [("j", j), ("k", k), ("re", v.real), ("im", v.imag)])
 
 
 def complex_columns(name: str, values) -> list[tuple[str, np.ndarray]]:

@@ -21,6 +21,9 @@ from subgap import ConfigError, default_grid, recovery
 from subgap.cli import OUTDIR_ENV, SCHEMAS, main, resolve_outdir, validate_config
 from subgap.experiments import EXPERIMENTS, SPECS, default_quantum_grid
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+
 MINIMAL = {
     "fig2": {"experiment": "fig2", "W": 2.0, "T_DS": [1.0, 0.25], "T_SN": 0.25},
     "bounds_audit": {"experiment": "bounds_audit", "pairs": [[1.6, 0.0625]]},
@@ -168,6 +171,49 @@ def test_fig2_without_the_copy_sum_case_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config: field `T_DS`")
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg,field",
+    [
+        # the fig2 label drops the dot, so 1.5 and 15 both read T15
+        (dict(MINIMAL["fig2"], T_DS=[1.5, 15.0, 0.25]), "T_DS"),
+        (dict(MINIMAL["bounds_audit"], pairs=[[1.0, 0.25], [1.0, 0.25]]), "pairs"),
+        # the key prints 6 significant digits
+        (dict(MINIMAL["bounds_audit"], pairs=[[1.0, 0.25], [1 + 1e-7, 0.25]]), "pairs"),
+        (dict(MINIMAL["stability"], sigmas=[1e-4, 1e-4]), "sigmas"),
+    ],
+)
+def test_colliding_labels_exit_2(tmp_path, capsys, cfg, field):
+    # two values with one label would write one check name twice
+    validate_config(cfg)
+    assert _run_cfg(tmp_path, cfg) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid config: field `{field}`")
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [p.name for p in CONFIGS] + [f"default {kind}" for kind in sorted(EXPERIMENTS)],
+)
+def test_check_names_are_unique(tmp_path, source):
+    if source.startswith("default "):
+        report = EXPERIMENTS[source.split()[1]](tmp_path)
+    else:
+        assert main(["run", str(CONFIG_DIR / source), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    names = [check["name"] for check in report["checks"]]
+    assert names and len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("start", [-16.0, -48.0])
+def test_sampling_interior_is_centred_on_the_grid(tmp_path, start):
+    # the demo signal lives on [-16, 16]; the interior half is taken about
+    # the grid's centre, not about t = 0
+    grid = {"start": start, "step": 0.015625, "n": 4096}
+    assert _run_cfg(tmp_path, dict(MINIMAL["sampling"], grid=grid)) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text(encoding="utf-8"))
+    assert report["metrics"]["interior_error"] <= 1e-6
 
 
 def test_missing_field_is_named():
@@ -386,7 +432,6 @@ WALKER_KEYWORDS = {
     "items", "minItems", "maxItems", "uniqueItems",
 }
 WALKER_TYPES = {"object", "array", "string", "number", "integer"}
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 #: every shipped config, every MINIMAL config and one setting every key
 BASES = {
     **{f"configs/{path.name}": json.loads(path.read_text()) for path in CONFIGS},

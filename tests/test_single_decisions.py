@@ -153,6 +153,37 @@ def test_gram_orientation_is_decided_once():
     assert sites == [("subgap.projections", "_concentration_operator")]
 
 
+def test_float_cells_are_formatted_in_one_function():
+    # every CSV float goes through one column rule; a second %.16e outside
+    # a docstring would be a second rule that could drift from it
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {
+            node.body[0].value
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node) is not None
+        }
+        parents = {
+            child: node
+            for node in ast.walk(tree)
+            for child in ast.iter_child_nodes(node)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and ".16e" in node.value
+                and node not in docstrings
+            ):
+                owner = node
+                while owner in parents and not isinstance(owner, ast.FunctionDef):
+                    owner = parents[owner]
+                sites.append((path.stem, getattr(owner, "name", None)))
+    assert sites == [("io", "write_csv")]
+
+
 def test_reports_store_only_what_decides_them():
     # every verdict and count is a property of these fields, so a report
     # that contradicts itself cannot be built
