@@ -53,8 +53,9 @@ class TimeGrid:
     dt : float
         Sample spacing, > 0.
     n : int
-        Number of samples; must be even (power of two recommended, so the
-        dual grid splits symmetrically around w = 0).
+        Number of samples, an integer (a numpy integer is stored as int);
+        must be even (power of two recommended, so the dual grid splits
+        symmetrically around w = 0).
     """
 
     t_start: float
@@ -68,6 +69,9 @@ class TimeGrid:
             )
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 2, got {self.n}")
 

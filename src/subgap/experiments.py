@@ -55,6 +55,7 @@ from .quantum import (
     RANK1_TOL,
     PhaseSpaceWindows,
     WaveFunction,
+    _normalized,
     build_density,
     evolve_diagonal_series,
     fidelity,
@@ -360,7 +361,8 @@ def run_fig2(
         write_csv(outdir / "fig2.csv", [(name, vals[disp]) for name, vals in columns]),
         write_svg_lines(
             outdir / "fig2.svg",
-            [(label, freqs[disp], vals[disp]) for label, vals in series],
+            freqs[disp],
+            [(label, vals[disp]) for label, vals in series],
             title="band restriction of gapped data",
         ),
     ]
@@ -520,10 +522,11 @@ def run_recovery(
         write_signal_csv(outdir / "recovered.csv", rec.recovered),
         write_svg_lines(
             outdir / "recovery.svg",
+            grid.times,
             [
-                ("original", grid.times, s_w.values.real),
-                ("observed", grid.times, r.values.real),
-                ("recovered", grid.times, rec.recovered.values.real),
+                ("original", s_w.values.real),
+                ("observed", r.values.real),
+                ("recovered", rec.recovered.values.real),
             ],
             title="gap recovery",
         ),
@@ -633,13 +636,10 @@ def run_sampling(
         ),
         write_svg_lines(
             outdir / "sampling.svg",
+            freqs[in_band],
             [
-                ("s_hat", freqs[in_band], s_hat.values[in_band].real),
-                (
-                    "periodized, period 1",
-                    freqs[in_band],
-                    aliased.values[in_band].real,
-                ),
+                ("s_hat", s_hat.values[in_band].real),
+                ("periodized, period 1", aliased.values[in_band].real),
             ],
             title="aliasing at the critical period",
         ),
@@ -657,7 +657,7 @@ def _pipeline_input(grid: TimeGrid, band: Interval) -> WaveFunction:
     x = grid.times
     raw = np.exp(-np.pi * (x - 0.25) ** 2) * np.exp(2j * np.pi * 0.15 * x)
     limited = momentum_limit(WaveFunction(grid, raw), band)
-    return WaveFunction(grid, limited.values / l2_norm(limited), normalized=True)
+    return _normalized(limited, "state has no energy inside the momentum band")
 
 
 @_experiment(
@@ -766,10 +766,11 @@ def run_quantum_pipeline(
         ),
         write_svg_lines(
             outdir / "pipeline.svg",
+            grid.times,
             [
-                ("|psi_P|", grid.times, np.abs(psi_p.values)),
-                ("|psi_M|", grid.times, np.abs(psi_m.values)),
-                ("|recovered|", grid.times, np.abs(psi_rec.values)),
+                ("|psi_P|", np.abs(psi_p.values)),
+                ("|psi_M|", np.abs(psi_m.values)),
+                ("|recovered|", np.abs(psi_rec.values)),
             ],
             title="state recovery through the coordinate gap",
         ),

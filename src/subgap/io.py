@@ -5,7 +5,8 @@ columns are formatted by their dtype, floats as %.16e (17 significant
 digits, enough to round-trip a double), integers as written and bools as
 1/0; JSON keys are sorted, and newlines are always "\\n".  Figures are
 emitted as data (CSV) with a static SVG rendering; there is no plotting
-dependency.
+dependency.  Every chart draws its series over one shared x, with
+coordinates written to two decimals.
 """
 
 from __future__ import annotations
@@ -107,88 +108,71 @@ def write_json(path, obj) -> Path:
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
-#: size of every chart, in pixels
-_SVG_WIDTH = 640
-_SVG_HEIGHT = 400
+#: the one rule for every SVG coordinate: two decimals
+_coord = "{:.2f}".format
 
 
-def _svg_coord(x: float) -> str:
-    return f"{x:.2f}"
+def _svg_text(x, y, size, text, anchor=None) -> str:
+    """A <text> element at (x, y); ``anchor`` sets its text-anchor if given."""
+    at = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{_coord(x)}" y="{_coord(y)}"{at} font-family="sans-serif" '
+        f'font-size="{size}">{text}</text>'
+    )
 
 
-def write_svg_lines(path, series, title: str = "") -> Path:
+def write_svg_lines(path, x, series, title: str = "") -> Path:
     """Static SVG line chart, 640 x 400 pixels.
 
-    ``series`` is a list of (label, x, y) triples drawn as polylines over
-    a shared frame, with the axis ranges printed at the corners and a
-    small legend.  Intended for quick inspection of the CSV data, nothing
-    more.
+    ``series`` is a list of (label, y) pairs drawn as polylines over one
+    shared ``x``, with the axis ranges printed at the corners and a small
+    legend; a ``y`` whose length differs from ``x``'s raises ValueError.
+    Intended for quick inspection of the CSV data, nothing more.
     """
     path = Path(path)
-    width, height = _SVG_WIDTH, _SVG_HEIGHT
-    margin = 46.0
+    width, height, margin = 640, 400, 46.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
-    xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
-    ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
+    x = np.asarray(x, dtype=float)
+    ys = [np.asarray(y, dtype=float) for _, y in series]
+    if any(y.shape != x.shape for y in ys):
+        raise ValueError(f"every series needs {x.size} values, one per x")
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
-
-    def to_px(x, y):
-        px = margin + (np.asarray(x, dtype=float) - x_lo) / (x_hi - x_lo) * plot_w
-        py = height - margin - (np.asarray(y, dtype=float) - y_lo) / (y_hi - y_lo) * plot_h
-        return px, py
+    px = list(map(_coord, (margin + (x - x_lo) / (x_hi - x_lo) * plot_w).tolist()))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{_svg_coord(margin)}" y="{_svg_coord(margin)}" '
-        f'width="{_svg_coord(plot_w)}" height="{_svg_coord(plot_h)}" '
+        f'<rect x="{_coord(margin)}" y="{_coord(margin)}" '
+        f'width="{_coord(plot_w)}" height="{_coord(plot_h)}" '
         'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_svg_coord(width / 2)}" y="{_svg_coord(margin - 16)}" '
-            'text-anchor="middle" font-family="sans-serif" font-size="14">'
-            f"{title}</text>"
-        )
-    for i, (label, x, y) in enumerate(series):
-        px, py = to_px(x, y)
-        pts = " ".join(
-            f"{_svg_coord(a)},{_svg_coord(b)}" for a, b in zip(px, py)
-        )
-        color = _PALETTE[i % len(_PALETTE)]
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>'
-        )
+        parts.append(_svg_text(width / 2, margin - 16, 14, title, "middle"))
+    for i, ((label, _), y) in enumerate(zip(series, ys)):
+        py = height - margin - (y - y_lo) / (y_hi - y_lo) * plot_h
+        pts = " ".join(map(",".join, zip(px, map(_coord, py.tolist()))))
+        pen = f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="1.5"/>'
         ly = margin + 16 + 16 * i
-        parts.append(
-            f'<line x1="{_svg_coord(margin + 8)}" y1="{_svg_coord(ly - 4)}" '
-            f'x2="{_svg_coord(margin + 28)}" y2="{_svg_coord(ly - 4)}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_svg_coord(margin + 34)}" y="{_svg_coord(ly)}" '
-            f'font-family="sans-serif" font-size="12">{label}</text>'
-        )
-    labels = [
-        (margin, height - margin + 16, "start", f"{x_lo:.4g}"),
-        (width - margin, height - margin + 16, "end", f"{x_hi:.4g}"),
-        (margin - 6, height - margin, "end", f"{y_lo:.4g}"),
-        (margin - 6, margin + 4, "end", f"{y_hi:.4g}"),
+        parts += [
+            f'<polyline points="{pts}" fill="none" {pen}',
+            f'<line x1="{_coord(margin + 8)}" y1="{_coord(ly - 4)}" '
+            f'x2="{_coord(margin + 28)}" y2="{_coord(ly - 4)}" {pen}',
+            _svg_text(margin + 34, ly, 12, label),
+        ]
+    corners = [
+        (margin, height - margin + 16, "start", x_lo),
+        (width - margin, height - margin + 16, "end", x_hi),
+        (margin - 6, height - margin, "end", y_lo),
+        (margin - 6, margin + 4, "end", y_hi),
     ]
-    for x, y, anchor, text in labels:
-        parts.append(
-            f'<text x="{_svg_coord(x)}" y="{_svg_coord(y)}" '
-            f'text-anchor="{anchor}" font-family="sans-serif" '
-            f'font-size="11">{text}</text>'
-        )
+    parts += [_svg_text(cx, cy, 11, f"{v:.4g}", a) for cx, cy, a, v in corners]
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
     return path

@@ -239,6 +239,14 @@ def _conj(obj, kind=SampledSignal):
     return kind(obj.grid, np.conj(obj.values))
 
 
+def _normalized(psi, empty: str) -> WaveFunction:
+    """``psi`` divided by its norm; ValueError(``empty``) unless the norm is > 0."""
+    nrm = l2_norm(psi)
+    if not nrm > 0.0:
+        raise ValueError(empty)
+    return WaveFunction(psi.grid, psi.values / nrm, normalized=True)
+
+
 def momentum_spectrum(psi: WaveFunction) -> Spectrum:
     """psi_hat(p) = dx * sum_x psi(x) exp(-2 pi i p x) on the dual grid.
 
@@ -286,10 +294,7 @@ def gate_state(psi_p: WaveFunction, windows: PhaseSpaceWindows) -> WaveFunction:
     """
     _require_bandlimited(_conj(psi_p), windows.p_band, "state (in momentum)")
     gated = complement_gate(psi_p, windows.x_window)
-    nrm = l2_norm(gated)
-    if nrm <= 0.0:
-        raise ValueError("gating removed the entire state")
-    return WaveFunction(psi_p.grid, gated.values / nrm, normalized=True)
+    return _normalized(gated, "gating removed the entire state")
 
 
 def momentum_smooth(psi_m: WaveFunction, windows: PhaseSpaceWindows) -> WaveFunction:
@@ -301,10 +306,7 @@ def momentum_smooth(psi_m: WaveFunction, windows: PhaseSpaceWindows) -> WaveFunc
     away rather than empty.
     """
     limited = momentum_limit(psi_m, windows.p_band)
-    nrm = l2_norm(limited)
-    if nrm <= 0.0:
-        raise ValueError("state has no energy inside the momentum band")
-    return WaveFunction(psi_m.grid, limited.values / nrm, normalized=True)
+    return _normalized(limited, "state has no energy inside the momentum band")
 
 
 def recover_state(
@@ -330,8 +332,7 @@ def recover_state(
     )
     if not rep.converged:
         raise NonConvergenceError(f"state recovery stopped: {rep.reason}")
-    x = rep.recovered
-    return WaveFunction(x.grid, np.conj(x.values) / l2_norm(x), normalized=True)
+    return _normalized(_conj(rep.recovered, WaveFunction), "recovered state is zero")
 
 
 def build_density(psi: WaveFunction, band: Interval) -> DensityMatrix:
@@ -608,11 +609,10 @@ def rank1_extract(rho: DensityMatrix) -> WaveFunction:
     lead = int(np.argmax(np.abs(v)))
     v = v * np.exp(-1j * np.angle(v[lead]))
     freqs = g.dual.frequencies
-    idx = np.rint((rho.p_grid - freqs[0]) / g.dual.dw).astype(int)
+    # a momentum past either end clips to the end bin and fails the match
+    idx = np.clip(np.rint((rho.p_grid - freqs[0]) / g.dual.dw), 0, g.n - 1).astype(int)
     if np.any(np.abs(freqs[idx] - rho.p_grid) > 1e-9):
         raise ValueError("p_grid does not align with the grid's momentum bins")
     full = np.zeros(g.n, dtype=complex)
     full[idx] = v / np.sqrt(g.dual.dw)
-    psi = position_wave(Spectrum(g.dual, full))
-    nrm = l2_norm(psi)
-    return WaveFunction(g, psi.values / nrm, normalized=True)
+    return _normalized(position_wave(Spectrum(g.dual, full)), "extracted state is zero")

@@ -28,6 +28,20 @@ def test_grid_validation():
         TimeGrid(0.0, 0.1, 0)
 
 
+
+@pytest.mark.parametrize("n", [4096.0, True, "4096", np.float64(64.0)])
+def test_grid_rejects_a_non_integer_length(n):
+    # a float n used to build a grid whose index arrays the solvers refused
+    with pytest.raises(ValueError, match="n must be an integer"):
+        TimeGrid(-32.0, 1.0 / 64, n)
+
+
+def test_grid_stores_a_numpy_length_as_int():
+    g = TimeGrid(-32.0, 1.0 / 64, np.int64(4096))
+    assert type(g.n) is int
+    assert g == TimeGrid(-32.0, 1.0 / 64, 4096)
+    assert hash(g) == hash(TimeGrid(-32.0, 1.0 / 64, 4096))
+
 @pytest.mark.parametrize(
     "make",
     [

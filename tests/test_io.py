@@ -166,7 +166,8 @@ def test_svg_is_wellformed_with_one_polyline_per_series(tmp_path):
     path = tmp_path / "p.svg"
     write_svg_lines(
         path,
-        [("sin", x, np.sin(x)), ("cos", x, np.cos(x))],
+        x,
+        [("sin", np.sin(x)), ("cos", np.cos(x))],
         title="two traces",
     )
     root = ET.parse(path).getroot()
@@ -175,3 +176,123 @@ def test_svg_is_wellformed_with_one_polyline_per_series(tmp_path):
     assert len(polylines) == 2
     text = path.read_text()
     assert "sin" in text and "cos" in text and "two traces" in text
+
+
+def test_svg_series_one_sample_short_raises(tmp_path):
+    x = np.linspace(0.0, 1.0, 50)
+    with pytest.raises(ValueError, match="50 values"):
+        write_svg_lines(tmp_path / "p.svg", x, [("sin", np.sin(x)), ("cos", x[1:])])
+
+
+def _svg_coord(x: float) -> str:
+    return f"{x:.2f}"
+
+
+def _per_series_svg(path, series, title=""):
+    """The per-series writer that write_svg_lines replaced, kept as its oracle."""
+    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+    width, height = 640, 400
+    margin = 46.0
+    plot_w = width - 2 * margin
+    plot_h = height - 2 * margin
+    xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
+    ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi <= y_lo:
+        y_hi = y_lo + 1.0
+
+    def to_px(x, y):
+        px = margin + (np.asarray(x, dtype=float) - x_lo) / (x_hi - x_lo) * plot_w
+        py = height - margin - (
+            np.asarray(y, dtype=float) - y_lo
+        ) / (y_hi - y_lo) * plot_h
+        return px, py
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{_svg_coord(margin)}" y="{_svg_coord(margin)}" '
+        f'width="{_svg_coord(plot_w)}" height="{_svg_coord(plot_h)}" '
+        'fill="none" stroke="#444444" stroke-width="1"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{_svg_coord(width / 2)}" y="{_svg_coord(margin - 16)}" '
+            'text-anchor="middle" font-family="sans-serif" font-size="14">'
+            f"{title}</text>"
+        )
+    for i, (label, x, y) in enumerate(series):
+        px, py = to_px(x, y)
+        pts = " ".join(
+            f"{_svg_coord(a)},{_svg_coord(b)}" for a, b in zip(px, py)
+        )
+        color = palette[i % len(palette)]
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            'stroke-width="1.5"/>'
+        )
+        ly = margin + 16 + 16 * i
+        parts.append(
+            f'<line x1="{_svg_coord(margin + 8)}" y1="{_svg_coord(ly - 4)}" '
+            f'x2="{_svg_coord(margin + 28)}" y2="{_svg_coord(ly - 4)}" '
+            f'stroke="{color}" stroke-width="1.5"/>'
+        )
+        parts.append(
+            f'<text x="{_svg_coord(margin + 34)}" y="{_svg_coord(ly)}" '
+            f'font-family="sans-serif" font-size="12">{label}</text>'
+        )
+    labels = [
+        (margin, height - margin + 16, "start", f"{x_lo:.4g}"),
+        (width - margin, height - margin + 16, "end", f"{x_hi:.4g}"),
+        (margin - 6, height - margin, "end", f"{y_lo:.4g}"),
+        (margin - 6, margin + 4, "end", f"{y_hi:.4g}"),
+    ]
+    for x, y, anchor, text in labels:
+        parts.append(
+            f'<text x="{_svg_coord(x)}" y="{_svg_coord(y)}" '
+            f'text-anchor="{anchor}" font-family="sans-serif" '
+            f'font-size="11">{text}</text>'
+        )
+    parts.append("</svg>")
+    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    return path
+
+
+_SVG_VALUES = st.floats(-1e300, 1e300) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 1e300, -1e300]
+)
+
+
+@st.composite
+def _charts(draw):
+    n = draw(st.integers(1, 24))
+    x = np.array(draw(st.lists(_SVG_VALUES, min_size=n, max_size=n)))
+    series = []
+    for i in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            y = np.full(n, draw(_SVG_VALUES))
+        else:
+            y = np.array(draw(st.lists(_SVG_VALUES, min_size=n, max_size=n)))
+        series.append((f"s{i}", y))
+    return x, series, draw(st.sampled_from(["", "a title"]))
+
+
+@pytest.fixture(scope="module")
+def svg_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("svg")
+
+
+@settings(max_examples=300)
+@given(_charts())
+def test_write_svg_lines_matches_the_per_series_writer(svg_dir, chart):
+    x, series, title = chart
+    with np.errstate(all="ignore"):  # a flat range at 1e300 maps to nan
+        new = write_svg_lines(svg_dir / "new.svg", x, series, title=title)
+        old = _per_series_svg(
+            svg_dir / "old.svg", [(label, x, y) for label, y in series], title
+        )
+    assert new.read_bytes() == old.read_bytes()

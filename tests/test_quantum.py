@@ -100,6 +100,19 @@ def test_normalized_flag_is_checked(qgrid):
     WaveFunction(qgrid, np.ones(qgrid.n) / np.sqrt(8.0), normalized=True)
 
 
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (gate_state, "gating removed the entire state"),
+        (momentum_smooth, "state has no energy inside the momentum band"),
+    ],
+)
+def test_a_zero_state_is_not_normalized(qgrid, step, message):
+    windows = PhaseSpaceWindows(x_window=Interval(0.0, 1.0), p_band=P_BAND)
+    with pytest.raises(ValueError, match=message):
+        step(WaveFunction(qgrid, np.zeros(qgrid.n)), windows)
+
 def test_momentum_projectors_idempotent(qgrid):
     rng = np.random.default_rng(22)
     psi = WaveFunction(
@@ -486,6 +499,16 @@ def test_rank1_extract_refuses_mixed_states(qgrid):
         rank1_extract(mixed)
     assert info.value.report is None
 
+
+
+@pytest.mark.parametrize("p_lo", [10.0, -12.0])
+def test_rank1_extract_rejects_momenta_off_the_grid(qgrid, p_lo):
+    # qgrid's momentum bins span [-4, 4); 10 used to index past the end
+    rho = DensityMatrix(
+        p_grid=[p_lo, p_lo + 0.125], elements=[[0.5, 0.5], [0.5, 0.5]], grid=qgrid
+    )
+    with pytest.raises(ValueError, match="does not align with the grid's momentum"):
+        rank1_extract(rho)
 
 def test_fidelity_is_phase_free(qgrid):
     psi = _state(qgrid)

@@ -184,6 +184,42 @@ def test_float_cells_are_formatted_in_one_function():
     assert sites == [("io", "write_csv")]
 
 
+def test_svg_coordinates_are_formatted_by_one_rule():
+    # the frame, the labels and every polyline point share one two-decimal
+    # rule; a second .2f outside a docstring could drift from it
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {
+            node.body[0].value
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node) is not None
+        }
+        sites += [
+            (path.stem, node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and ".2f" in node.value
+            and node not in docstrings
+        ]
+    assert sites == [("io", "{:.2f}")]
+
+
+def test_states_are_normalized_by_one_helper():
+    # each normalized state is divided by its l2_norm in quantum._normalized,
+    # which refuses a zero state with its caller's message
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [
+            (path.stem, fn)
+            for _, fn, call in _sites(tree, "WaveFunction")
+            if any(k.arg == "normalized" for k in call.keywords)
+        ]
+    assert sites == [("quantum", "_normalized")]
+
 def test_reports_store_only_what_decides_them():
     # every verdict and count is a property of these fields, so a report
     # that contradicts itself cannot be built
