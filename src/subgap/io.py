@@ -6,12 +6,13 @@ digits, enough to round-trip a double), integers as written and bools as
 1/0; JSON keys are sorted, and newlines are always "\\n".  Figures are
 emitted as data (CSV) with a static SVG rendering; there is no plotting
 dependency.  Every chart draws its series over one shared x, with
-coordinates written to two decimals.
+coordinates written to two decimals and its text escaped for XML.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -112,13 +113,29 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _coord = "{:.2f}".format
 
 
+def _escape(text: str) -> str:
+    """``text`` with &, < and > escaped, as ``xml.sax.saxutils.escape`` does;
+    importing that module would pull urllib.request into every CLI start."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_text(x, y, size, text, anchor=None) -> str:
-    """A <text> element at (x, y); ``anchor`` sets its text-anchor if given."""
+    """A <text> element at (x, y) holding ``text`` escaped; ``anchor`` sets
+    its text-anchor if given."""
     at = f' text-anchor="{anchor}"' if anchor else ""
     return (
         f'<text x="{_coord(x)}" y="{_coord(y)}"{at} font-family="sans-serif" '
-        f'font-size="{size}">{text}</text>'
+        f'font-size="{size}">{_escape(text)}</text>'
     )
+
+
+def _span(values) -> tuple[float, float]:
+    """The range of ``values``; a flat one is widened by 1, or by one ulp
+    where adding 1 changes nothing (|v| >= 2^53)."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if hi <= lo:
+        hi = max(lo + 1.0, math.nextafter(lo, math.inf))
+    return lo, hi
 
 
 def write_svg_lines(path, x, series, title: str = "") -> Path:
@@ -127,6 +144,8 @@ def write_svg_lines(path, x, series, title: str = "") -> Path:
     ``series`` is a list of (label, y) pairs drawn as polylines over one
     shared ``x``, with the axis ranges printed at the corners and a small
     legend; a ``y`` whose length differs from ``x``'s raises ValueError.
+    Labels and the title are escaped for XML, and a flat x or y range is
+    widened, so finite data gives finite coordinates at any magnitude.
     Intended for quick inspection of the CSV data, nothing more.
     """
     path = Path(path)
@@ -137,12 +156,7 @@ def write_svg_lines(path, x, series, title: str = "") -> Path:
     ys = [np.asarray(y, dtype=float) for _, y in series]
     if any(y.shape != x.shape for y in ys):
         raise ValueError(f"every series needs {x.size} values, one per x")
-    x_lo, x_hi = float(x.min()), float(x.max())
-    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    (x_lo, x_hi), (y_lo, y_hi) = _span(x), _span(ys)
     px = list(map(_coord, (margin + (x - x_lo) / (x_hi - x_lo) * plot_w).tolist()))
 
     parts = [

@@ -13,14 +13,19 @@ the window, so the solvers work in the exact-phase basis E of the M
 in-band bins and the K gated samples (``projections._gated_exponentials``).
 That basis, lambda0 and the min(M, K) Gram matrix G of E are built once
 per (grid, band, window) and shared by the refusal check and all three
-solvers.  A series step multiplies by G alone, O(min(M, K)^2) work; below
-the limit M K <= WT n + M + K, so min(M, K) is about sqrt(n) at most.
-Each solve makes one FFT of its input, at most one back, and at most two
-M x K products.  Each report stores only the values that decide it.
+solvers.  The in-band transform of an erased signal, and the right-hand
+side the series and the direct solve share, are likewise taken once per
+signal: three solves of one signal make one FFT of it between them, after
+the report passes.  A series step is one product with G, O(min(M, K)^2)
+work; below the limit M K <= WT n + M + K, so min(M, K) is about sqrt(n)
+at most.  Each solve then makes at most one FFT back and at most two
+M x K products, neither of which copies E.  Each report stores only the
+values that decide it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -171,29 +176,50 @@ def _refusal(report: InvertibilityReport) -> RecoveryReport:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _transformed(r: SampledSignal, band: Interval, window: Interval):
+    """The one transform of ``r`` per (signal, band, window): (q, c), read-only.
+
+    A signal is keyed by identity (``SampledSignal`` is ``eq=False`` and
+    its values are read-only), so one entry covers three solvers in a row.
+    """
+    op = _concentration_operator(r.grid, band, window)
+    n = r.grid.n
+    q = np.fft.ifft(r.values)[op.bins] * n
+    c = (q.conj() @ op.e).conj() / n if op.on_window else q  # E^H q / n
+    for a in (q, c):
+        a.setflags(write=False)
+    return q, c
+
+
 def _prepared(r: SampledSignal, band: Interval, window: Interval):
-    """The shared build of E for both the refusal check and the solve.
+    """The refusal check, then the transform of ``r`` that every solve shares.
 
     Returns (report, op, q, c): q = n * ifft(r) on the in-band bins and c
     the right-hand side of (I - G/n) z = c, E^H q / n when K < M (z is the
     window's h) and q otherwise (z is u); None when the report refuses.
+    The decision is taken on every call from op.lambda0; only a passing
+    report reads q and c from the memo, so a refusal makes no FFT.
     """
     op = _concentration_operator(r.grid, band, window)
     report = InvertibilityReport(lambda0=op.lambda0, wt=band.width * window.width)
     if not report.invertible:
         return report, op, None, None
-    q = np.fft.ifft(r.values)[op.bins] * r.grid.n
-    return report, op, q, op.e.conj().T @ q / r.grid.n if op.on_window else q
+    return (report, op, *_transformed(r, band, window))
+
+
+def _sq(x: np.ndarray) -> float:
+    """The squared L2 norm of a complex vector, by one BLAS dot."""
+    return np.vdot(x, x).real
 
 
 def _norm(x: np.ndarray) -> float:
-    """np.linalg.norm of a complex vector: its own arithmetic, not its overhead."""
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(_sq(x))
 
 
-def _gram_norm(g: np.ndarray, d: np.ndarray) -> float:
-    """||E d|| (K < M) or ||E^H d|| (K >= M) from the Gram matrix G of E."""
-    return math.sqrt(max(np.vdot(d, g @ d).real, 0.0))
+def _a_norm_sq(z, z_prev, az, az_prev) -> float:
+    """d^H A d for d = z - z_prev, from the products A z and A z_prev."""
+    return max(np.vdot(z - z_prev, az - az_prev).real, 0.0)
 
 
 def _in_band_signal(grid: TimeGrid, bins: np.ndarray, u: np.ndarray) -> SampledSignal:
@@ -203,23 +229,25 @@ def _in_band_signal(grid: TimeGrid, bins: np.ndarray, u: np.ndarray) -> SampledS
     return SampledSignal(grid, np.fft.fft(full) / grid.n)
 
 
-def _neumann_loop(g, c, n: int, measure, tol: float, k_max: int):
-    """Iterate z_i = c + (G/n) z_{i-1} from z_0 = 0 in the Gram dimension.
+def _neumann_loop(a, c, measure, tol: float, k_max: int):
+    """Iterate z_i = c + A z_{i-1} from z_0 = 0 in the Gram dimension.
 
-    A step is one product with the min(M, K) Gram matrix G.  With c from
-    :func:`_prepared`, z_i = h_i when K < M, else u_{i-1}.  ``measure(z_i,
-    z_{i-1}, G z_i)`` returns the update norm and the new iterate's norm,
-    in any one unit.  Returns the report fields and the final (z, G z).
+    A = G/n, scaled once per solve, and a step is one product with it.
+    With c from :func:`_prepared`, z_i = h_i when K < M, else u_{i-1}.
+    ``measure(z_i, z_{i-1}, A z_i, A z_{i-1})`` returns the update norm
+    and the new iterate's norm, in any one unit; A (z_i - z_{i-1}) is the
+    difference of the last two products, so it costs no third.  Returns
+    the report fields and the final (z, A z).
     """
-    z = gz = np.zeros_like(c)
+    z = az = np.zeros_like(c)
     rel_history = []
     abs_history = []
     reason = None
     for _ in range(k_max):
-        z_new = c + gz / n
-        gz_new = g @ z_new
-        abs_up, nrm = measure(z_new, z, gz_new)
-        z, gz = z_new, gz_new
+        z_new = c + az
+        az_new = a.dot(z_new)  # the BLAS gemv of `@` at less call overhead
+        abs_up, nrm = measure(z_new, z, az_new, az)
+        z, az = z_new, az_new
         rel = abs_up / max(nrm, 1e-300)
         rel_history.append(rel)
         abs_history.append(abs_up)
@@ -238,7 +266,7 @@ def _neumann_loop(g, c, n: int, measure, tol: float, k_max: int):
         residual_history=np.asarray(rel_history),
         contraction_estimate=contraction, reason=reason,
     )
-    return fields, z, gz
+    return fields, z, az
 
 
 def recover_neumann(
@@ -262,23 +290,26 @@ def recover_neumann(
         return _refusal(report)
     if k_max is None:
         k_max = _default_k_max(report.wt, tol)
-    n, g, on_window = r.grid.n, op.gram, op.on_window
-    r_t = r.values[op.gates]
-    outside = np.delete(r.values, op.gates)
-    out_sq = float(np.vdot(outside, outside).real)
+    n, on_window = r.grid.n, op.on_window
+    # the gates are one contiguous run, so the samples outside the window
+    # are the two slices around it
+    k0 = op.gates[0] if op.gates.size else 0
+    before, r_t, after = np.split(r.values, [k0, k0 + op.gates.size])
+    out_sq = _sq(before) + _sq(after)
     er = None if on_window else op.e @ r_t
-    in_sq = out_sq + _norm(r_t) ** 2
+    in_sq = out_sq + _sq(r_t)
 
-    def measure(z, z_prev, gz):
+    def measure(z, z_prev, az, az_prev):
         if on_window:  # z is h
-            return _norm(z - z_prev), math.sqrt(out_sq + _norm(r_t + z) ** 2)
-        # z is u_{k-1} and h = E^H z / n: ||r_t + h||^2 expands with E r_t
-        cross = 2.0 * np.vdot(er, z).real / n + np.vdot(z, gz).real / n**2
-        return _gram_norm(g, z - z_prev) / n, math.sqrt(in_sq + cross)
+            return _norm(z - z_prev), math.sqrt(out_sq + _sq(r_t + z))
+        # z is u_{k-1} and h = E^H z / n, so ||h - h_prev||^2 = d^H A d / n
+        # and ||r_t + h||^2 expands with E r_t
+        cross = (2.0 * np.vdot(er, z).real + np.vdot(z, az).real) / n
+        return math.sqrt(_a_norm_sq(z, z_prev, az, az_prev) / n), math.sqrt(in_sq + cross)
 
-    fields, z, _ = _neumann_loop(g, c, n, measure, tol, k_max)
+    fields, z, _ = _neumann_loop(op.gram / n, c, measure, tol, k_max)
     x = r.values.copy()
-    x[op.gates] = r_t + (z if on_window else op.e.conj().T @ z / n)
+    x[op.gates] = r_t + (z if on_window else (z.conj() @ op.e).conj() / n)
     return RecoveryReport(recovered=SampledSignal(r.grid, x), **fields)
 
 
@@ -304,18 +335,18 @@ def recover_band_neumann(
         return _refusal(report)
     if k_max is None:
         k_max = _default_k_max(report.wt, tol)
-    n, g, on_window = r.grid.n, op.gram, op.on_window
-    q_sq = _norm(q) ** 2
+    n, on_window = r.grid.n, op.on_window
+    q_sq = _sq(q)
 
-    def measure(z, z_prev, gz):
-        if on_window:  # z is h: ||q + E h||^2 = ||q||^2 + 2 n Re(c^H h) + h^H G h
-            u_sq = q_sq + 2.0 * n * np.vdot(c, z).real + np.vdot(z, gz).real
-            return _gram_norm(g, z - z_prev), math.sqrt(u_sq)
-        u = q + gz / n  # z is u_{k-1}
+    def measure(z, z_prev, az, az_prev):
+        if on_window:  # z is h: ||q + E h||^2 = ||q||^2 + n (2 Re(c^H h) + h^H A h)
+            u_sq = q_sq + n * (2.0 * np.vdot(c, z).real + np.vdot(z, az).real)
+            return math.sqrt(n * _a_norm_sq(z, z_prev, az, az_prev)), math.sqrt(u_sq)
+        u = q + az  # z is u_{k-1}
         return _norm(u - z), _norm(u)
 
-    fields, z, gz = _neumann_loop(g, c, n, measure, tol, k_max)
-    u = q + op.e @ z if on_window else q + gz / n
+    fields, z, az = _neumann_loop(op.gram / n, c, measure, tol, k_max)
+    u = q + op.e @ z if on_window else q + az
     return RecoveryReport(recovered=_in_band_signal(r.grid, op.bins, u), **fields)
 
 

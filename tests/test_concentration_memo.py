@@ -1,14 +1,18 @@
-"""One build of the exact-phase basis E per (grid, band, window).
+"""One build of the exact-phase basis E per (grid, band, window), and one
+transform per erased signal.
 
 The refusal check, the three gap solvers, ``operator_norm_sq``,
 ``prolate_matrix`` and the concentration ratios all read E and lambda0
-from one memoised record.  These tests count the uncached builds behind
-it, check that the shared record cannot carry state from one call into
-the next, and walk the package's syntax tree so E can only be built in
-one place.
+from one memoised record, and the three solvers read the in-band
+transform of a signal from a second memo keyed on that signal.  These
+tests count the uncached builds, transforms and Gram products behind
+them, check that neither memo can carry state from one call into the
+next, and walk the package's syntax tree so E can only be built in one
+place.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,7 @@ import subgap
 from subgap import (
     ErasureModel,
     Interval,
+    RefusalError,
     SampledSignal,
     TimeGrid,
     erase,
@@ -125,6 +130,119 @@ def test_refusal_margin_is_applied_on_every_call(
     assert recover_neumann(r, band, window).refused
     assert recover_band_neumann(r, band, window).refused
     assert len(builds) == 1
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Inverse FFTs, counted from a cold signal memo."""
+    calls = []
+    real = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    recovery._transformed.cache_clear()
+    yield calls
+    recovery._transformed.cache_clear()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_signal_memo_carries_no_state_between_calls(
+    transforms, random_bandlimited, case
+):
+    band, window = CASES[case]
+    r = _erased(random_bandlimited, band, window)
+    other = _erased(random_bandlimited, band, window)
+    counts = []
+
+    def run(order=SOLVERS):
+        transforms.clear()
+        out = _solve_all(r, band, window, order)
+        counts.append(len(transforms))
+        return out
+
+    cold = run()
+    warm = run()
+    reverse = run(SOLVERS[::-1])
+    recover_neumann(other, band, window)  # evicts r's entry
+    evicted = run()
+    assert counts == [1, 0, 0, 1]
+    for fields in (warm, reverse, evicted):
+        for name, expected in cold.items():
+            assert all(np.array_equal(a, b) for a, b in zip(expected, fields[name])), name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_memoised_signal_and_transform_are_read_only(random_bandlimited, case):
+    band, window = CASES[case]
+    r = _erased(random_bandlimited, band, window)
+    recover_neumann(r, band, window)
+    q, c = recovery._transformed(r, band, window)
+    for array in (r.values, q, c):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_refusal_margin_is_applied_on_a_warm_signal_memo(
+    transforms, grid, random_bandlimited, monkeypatch
+):
+    # the memo holds q and c, not the decision: a margin raised after a
+    # solve refuses the same signal, and the refusal makes no FFT
+    band, window = CASES["K<M"]
+    r = _erased(random_bandlimited, band, window)
+    transforms.clear()
+    assert recover_neumann(r, band, window).converged
+    assert len(transforms) == 1
+    lam = invertibility_report(grid, band, window).lambda0
+    monkeypatch.setattr(recovery, "LAMBDA_MARGIN", 1.0 - 0.5 * lam)
+    for solver in (recover_neumann, recover_band_neumann):
+        assert solver(r, band, window).refused
+    with pytest.raises(RefusalError):
+        recover_direct(r, band, window)
+    recovery._transformed.cache_clear()
+    assert recover_band_neumann(r, band, window).refused
+    assert len(transforms) == 1
+
+
+class _CountedGram(np.ndarray):
+    """A Gram matrix that counts the products taken with it, or with any
+    array scaled from it, by ``@`` or by ``dot``."""
+
+    products = []
+
+    def __matmul__(self, other):
+        if self.ndim == 2:
+            self.products.append(1)
+        return super().__matmul__(other)
+
+    def dot(self, other, *args):
+        if self.ndim == 2:
+            self.products.append(1)
+        return super().dot(other, *args)
+
+
+@pytest.mark.parametrize("solver", [recover_neumann, recover_band_neumann])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_series_step_is_one_gram_product(
+    grid, random_bandlimited, monkeypatch, case, solver
+):
+    band, window = CASES[case]
+    r = _erased(random_bandlimited, band, window)
+    real = recovery._concentration_operator
+
+    def counted(*args):
+        op = real(*args)
+        return dataclasses.replace(op, gram=op.gram.view(_CountedGram))
+
+    monkeypatch.setattr(recovery, "_concentration_operator", counted)
+    monkeypatch.setattr(_CountedGram, "products", [])
+    for k in (1, 3, 6):
+        _CountedGram.products.clear()
+        rec = solver(r, band, window, 0.0, k)
+        assert rec.iterations == k
+        assert len(_CountedGram.products) == k
 
 
 def test_e_is_built_in_one_place():

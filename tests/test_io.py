@@ -3,6 +3,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from subgap import TimeGrid
 from subgap.io import (
+    _escape,
     complex_columns,
     write_csv,
     write_json,
@@ -178,6 +180,32 @@ def test_svg_is_wellformed_with_one_polyline_per_series(tmp_path):
     assert "sin" in text and "cos" in text and "two traces" in text
 
 
+def test_svg_escapes_labels_and_title(tmp_path):
+    x = np.linspace(0.0, 1.0, 5)
+    path = write_svg_lines(tmp_path / "p.svg", x, [("a<b & c", x)], title="x > y & z")
+    texts = [e.text for e in ET.parse(path).getroot().iter() if e.tag.endswith("text")]
+    assert texts[:2] == ["x > y & z", "a<b & c"]
+
+
+@given(st.text())
+def test_svg_text_is_escaped_as_saxutils_does(text):
+    assert _escape(text) == escape(text)
+
+
+@pytest.mark.parametrize("v", [1e300, -1e300, 2.0**53, -(2.0**53), 1.0, 0.0])
+def test_svg_widens_a_flat_range_at_any_magnitude(tmp_path, v):
+    flat = np.full(3, v)
+    with np.errstate(invalid="raise", divide="raise"):
+        path = write_svg_lines(tmp_path / "p.svg", flat, [("flat", flat)])
+    root = ET.parse(path).getroot()
+    (line,) = [e for e in root.iter() if e.tag.endswith("polyline")]
+    coords = [float(c) for pt in line.get("points").split() for c in pt.split(",")]
+    assert coords == [46.0, 354.0] * 3
+    if v + 1.0 > v:  # widened by 1 wherever adding 1 takes effect
+        texts = [e.text for e in root.iter() if e.tag.endswith("text")]
+        assert texts[-3] == texts[-1] == f"{v + 1.0:.4g}"
+
+
 def test_svg_series_one_sample_short_raises(tmp_path):
     x = np.linspace(0.0, 1.0, 50)
     with pytest.raises(ValueError, match="50 values"):
@@ -289,10 +317,19 @@ def svg_dir(tmp_path_factory):
 @settings(max_examples=300)
 @given(_charts())
 def test_write_svg_lines_matches_the_per_series_writer(svg_dir, chart):
+    # the old writer widened a flat range by adding 1, which at |v| >= 2^53
+    # leaves it flat and maps every point to nan; the new one widens it by
+    # one ulp there and writes the old bytes everywhere else
     x, series, title = chart
-    with np.errstate(all="ignore"):  # a flat range at 1e300 maps to nan
-        new = write_svg_lines(svg_dir / "new.svg", x, series, title=title)
+    with np.errstate(invalid="raise", divide="raise"):
+        new = write_svg_lines(svg_dir / "new.svg", x, series, title=title).read_bytes()
+    with np.errstate(all="ignore"):
         old = _per_series_svg(
             svg_dir / "old.svg", [(label, x, y) for label, y in series], title
-        )
-    assert new.read_bytes() == old.read_bytes()
+        ).read_bytes()
+    ys = np.concatenate([y for _, y in series])
+    lost = [lo + 1.0 == lo for lo, hi in ((x.min(), x.max()), (ys.min(), ys.max())) if hi <= lo]
+    if any(lost):
+        assert b"nan" in old and b"nan" not in new
+    else:
+        assert new == old

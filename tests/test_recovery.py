@@ -408,15 +408,18 @@ def test_solvers_match_a_dense_oracle(problem):
     assert np.linalg.norm(recover_direct(r, band, window).values - oracle) <= limit
 
 
-def test_series_steps_make_no_fft(band, s_w, monkeypatch):
-    # the series runs on the window's samples: a longer run adds no FFT
+def test_series_steps_make_no_fft(grid, band, s_w, monkeypatch):
+    # one erased signal is transformed once: a report and all three solvers
+    # on it make one ifft between them, the band variant and the direct
+    # solve one fft back each; a longer series then adds no FFT at all
     r = _erased(s_w, band)
+    recovery._transformed.cache_clear()
     calls = []
     for name in ("fft", "ifft"):
         real = getattr(np.fft, name)
 
-        def counted(*args, _real=real, **kwargs):
-            calls.append(1)
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -424,14 +427,17 @@ def test_series_steps_make_no_fft(band, s_w, monkeypatch):
     def count(run):
         calls.clear()
         out = run()
-        return len(calls), out
+        return list(calls), out
 
-    for solver in (recover_neumann, recover_band_neumann):
+    invertibility_report(grid, band, WINDOW)
+    for solver in (recover_neumann, recover_band_neumann, recover_direct):
+        solver(r, band, WINDOW)
+    assert calls == ["ifft", "fft", "fft"]
+    for solver, back in ((recover_neumann, []), (recover_band_neumann, ["fft"])):
         short, _ = count(lambda: solver(r, band, WINDOW, 0.0, 4))
         long, rec = count(lambda: solver(r, band, WINDOW, 0.0, 40))
         assert rec.iterations > 4
-        assert short == long <= 3
-    assert count(lambda: recover_direct(r, band, WINDOW))[0] <= 3
+        assert short == long == back
 
 
 def test_erase_makes_one_transform(band, s_w, monkeypatch):
