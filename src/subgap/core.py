@@ -36,10 +36,26 @@ __all__ = [
 ]
 
 
-def _readonly(values, dtype):
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+def _keep_arrays(record, **dtypes):
+    """Store on the frozen ``record`` a read-only copy of each named array
+    field, cast to its dtype; returns the copies.  Every record keeps its
+    arrays by this rule, so a caller's arrays stay writable and unchanged."""
+    kept = []
+    for name, dtype in dtypes.items():
+        arr = np.array(getattr(record, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+        kept.append(arr)
+    return kept
+
+
+def _grid_values(record):
+    """Keep ``record.values`` as complex, one value per point of its grid."""
+    (vals,) = _keep_arrays(record, values=complex)
+    if vals.shape != (record.grid.n,):
+        raise ValueError(
+            f"values shape {vals.shape} does not match grid n={record.grid.n}"
+        )
 
 
 @dataclass(frozen=True)
@@ -158,13 +174,7 @@ class SampledSignal:
     grid: TimeGrid
     values: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        vals = _readonly(self.values, complex)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid n={self.grid.n}"
-            )
-        object.__setattr__(self, "values", vals)
+    __post_init__ = _grid_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,13 +184,7 @@ class Spectrum:
     grid: FrequencyGrid
     values: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        vals = _readonly(self.values, complex)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid n={self.grid.n}"
-            )
-        object.__setattr__(self, "values", vals)
+    __post_init__ = _grid_values
 
 
 def default_grid():

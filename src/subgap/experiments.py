@@ -55,13 +55,11 @@ from .quantum import (
     RANK1_TOL,
     PhaseSpaceWindows,
     WaveFunction,
-    _normalized,
     build_density,
     evolve_diagonal_series,
     fidelity,
     gate_state,
     landau_pollak_ratio,
-    momentum_limit,
     momentum_smooth,
     rank1_extract,
     recover_state,
@@ -221,7 +219,9 @@ def _t_label(t_ds: float) -> str:
 
 
 def _distinct(field: str, labels: list[str]) -> list[str]:
-    """``labels``, or ValueError naming ``field`` if two values share one."""
+    """``labels``, or ValueError naming ``field`` if empty or two values share one."""
+    if not labels:
+        raise ValueError(f"field `{field}`: needs at least one value")
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ValueError(f"field `{field}`: values share the labels {repeated}")
@@ -239,16 +239,19 @@ def _gap_window(t_sn: float, t_ds: float, dt: float) -> Interval:
     return Interval(t_sn / 2.0, width)
 
 
-def _copy_errors(checks, r, s_hat, band, t_sn, t_ds, k_max):
-    """L2 band error of the copy-sum recovery of ``r`` for k = 0..k_max.
+def _copy_errors(checks, s_w, s_hat, band, t_sn, k_max):
+    """L2 band error of the copy-sum recovery of ``s_w`` for k = 0..k_max,
+    with the gap as wide as the sampling period t_sn erased.
 
     Checks that the error decreases strictly in k, and that the sum at the
     full order k = t_sn/(2 dt) equals s_hat on the band to 1e-12 relative;
     returns the errors and the k_max spectrum.  Every order comes from one
     pass of the running copy sum.
     """
+    window = _gap_window(t_sn, t_sn, s_w.grid.dt)
+    r = erase(s_w, ErasureModel(window=window, source_band=band))
     in_band = band.mask(s_hat.grid.frequencies)
-    cfg = SpectralCopyConfig(band=band, t_sn=t_sn, t_ds=t_ds, k_max=k_max)
+    cfg = SpectralCopyConfig(band=band, t_sn=t_sn, t_ds=window.width, k_max=k_max)
     errs = []
     for k, acc in enumerate(_copy_sums(r, cfg)):
         diff = acc[in_band] - s_hat.values[in_band]
@@ -334,8 +337,6 @@ def run_fig2(
             )
         columns += complex_columns(f"pwr_hat_T{label}", approx.approx.values)
         series.append((f"P_W r_hat, T_DS={t_ds:g}", approx.approx.values.real))
-        if abs(t_ds - t_sn) <= 1e-12:
-            copy_r, copy_width = r, window.width
 
     order = sorted(t_ds_values, reverse=True)
     sups = [sup_errs[t] for t in order]
@@ -350,9 +351,7 @@ def run_fig2(
     bound = 2.0 * w * t_min * (band_integral / w)
     _at_most(checks, "first_order_sup_bound", sup_errs[t_min], bound)
 
-    metrics["copy_errors"], rec_spec = _copy_errors(
-        checks, copy_r, s_hat, band, t_sn, copy_width, k_max
-    )
+    metrics["copy_errors"], rec_spec = _copy_errors(checks, s_w, s_hat, band, t_sn, k_max)
     columns += complex_columns(f"recovered_k{k_max}", rec_spec.values)
     series.append((f"copy sum, k_max={k_max}", rec_spec.values.real))
 
@@ -623,9 +622,7 @@ def run_sampling(
     alias_dev = _sup(aliased.values[in_band] - s_hat.values[in_band])
     _at_least(checks, "undersampling_aliases_on_band", alias_dev, 1e-2)
 
-    window = _gap_window(t_sn, t_sn, grid.dt)
-    r = erase(s_w, ErasureModel(window=window, source_band=band))
-    copy_errs, _ = _copy_errors(checks, r, s_hat, band, t_sn, window.width, k_max)
+    copy_errs, _ = _copy_errors(checks, s_w, s_hat, band, t_sn, k_max)
 
     artifacts = [
         write_signal_csv(outdir / "interpolated.csv", recon),
@@ -652,12 +649,11 @@ def run_sampling(
     return checks, metrics, artifacts
 
 
-def _pipeline_input(grid: TimeGrid, band: Interval) -> WaveFunction:
+def _pipeline_input(grid: TimeGrid, windows: PhaseSpaceWindows) -> WaveFunction:
     """A smooth momentum-limited state with nontrivial complex structure."""
     x = grid.times
     raw = np.exp(-np.pi * (x - 0.25) ** 2) * np.exp(2j * np.pi * 0.15 * x)
-    limited = momentum_limit(WaveFunction(grid, raw), band)
-    return _normalized(limited, "state has no energy inside the momentum band")
+    return momentum_smooth(WaveFunction(grid, raw), windows)
 
 
 @_experiment(
@@ -692,7 +688,7 @@ def run_quantum_pipeline(
     windows = PhaseSpaceWindows(
         x_window=Interval(0.0, x), p_band=Interval(0.0, p)
     )
-    psi_p = _pipeline_input(grid, windows.p_band)
+    psi_p = _pipeline_input(grid, windows)
     checks = []
     metrics = {"XP": windows.xp}
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    _keep_arrays,
     Interval,
     SampledSignal,
     Spectrum,
@@ -129,7 +130,7 @@ class DensityMatrix:
     tests leave out p = 0, so the bin weight is taken as the smallest
     spacing).  ``grid`` optionally remembers the coordinate grid the matrix
     was built on, letting :func:`rank1_extract` rebuild a wavefunction.
-    Non-finite entries, a repeated momentum or a mass not > 0 raise ValueError.
+    Non-finite entries, an empty or repeated p_grid, or mass not > 0 raise ValueError.
     """
 
     p_grid: np.ndarray = field(repr=False)
@@ -138,21 +139,16 @@ class DensityMatrix:
     grid: TimeGrid | None = None
 
     def __post_init__(self):
-        p = np.array(self.p_grid, dtype=float)
-        e = np.array(self.elements, dtype=complex)
+        p, e = _keep_arrays(self, p_grid=float, elements=complex)
         _require_finite(p_grid=p, elements=e)
         if p.ndim != 1 or e.shape != (p.size, p.size):
             raise ValueError(
                 f"elements shape {e.shape} does not match p_grid size {p.size}"
             )
-        _bin_weight(p, self.mass, need=0)
-        scale = max(1.0, float(np.max(np.abs(e))) if e.size else 1.0)
+        _bin_weight(p, self.mass, need=1)
+        scale = max(1.0, float(np.max(np.abs(e))))
         if np.max(np.abs(e - e.conj().T)) > 1e-12 * scale:
             raise ValueError("elements are not Hermitian to 1e-12")
-        p.setflags(write=False)
-        e.setflags(write=False)
-        object.__setattr__(self, "p_grid", p)
-        object.__setattr__(self, "elements", e)
 
     @property
     def trace(self):
@@ -178,9 +174,7 @@ class EvolutionSamples:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        x = np.array(self.x_points, dtype=float)
-        t = np.array(self.t_points, dtype=float)
-        v = np.array(self.values, dtype=float)
+        x, t, v = _keep_arrays(self, x_points=float, t_points=float, values=float)
         if v.shape != (t.size, x.size):
             raise ValueError(
                 f"values shape {v.shape} does not match (t, x) = ({t.size}, {x.size})"
@@ -190,9 +184,6 @@ class EvolutionSamples:
             raise ValueError(
                 f"probability readings must be >= -1e-10, got min {v.min():.3e}"
             )
-        for name, arr in (("x_points", x), ("t_points", t), ("values", v)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,23 +555,17 @@ def _degenerate_pairs(u: np.ndarray, v: np.ndarray, pairs):
 
 def _complete_populations(off: np.ndarray, trace: float, m: int, pairs):
     """Populations from |rho_jk|^2 = rho_jj rho_kk, scaled to the trace."""
-    mags = np.abs(off)
-    rows = []
-    rhs = []
-    for j, k in pairs:
-        if mags[j, k] > 1e-12:
-            row = np.zeros(m)
-            row[j] = 1.0
-            row[k] = 1.0
-            rows.append(row)
-            rhs.append(np.log(mags[j, k]))
+    jk = np.array(pairs)
+    mags = np.abs(off[jk[:, 0], jk[:, 1]])
+    jk, mags = jk[mags > 1e-12], mags[mags > 1e-12]
+    a = np.zeros((mags.size, m))  # one row per resolved pair, 1 at j and k
+    a[np.arange(mags.size)[:, None], jk] = 1.0
     uniform = np.full(m, trace / m if trace > 0 else 1.0 / m)
-    if len(rows) < m:
+    if mags.size < m:
         return uniform, False
-    a = np.asarray(rows)
-    if np.linalg.matrix_rank(a) < m:
+    u, _, rank, _ = np.linalg.lstsq(a, np.log(mags), rcond=None)
+    if rank < m:
         return uniform, False
-    u, *_ = np.linalg.lstsq(a, np.asarray(rhs), rcond=None)
     diag = np.exp(2.0 * u)
     total = diag.sum()
     if not np.isfinite(total) or total <= 0.0 or trace <= 0.0:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Interval, SampledSignal, TimeGrid, l2_norm
+from .core import Interval, SampledSignal, TimeGrid, _keep_arrays, l2_norm
 from .errors import RefusalError
 # band_project is unused here but stays bound: perfbench's tracer smoke
 # test checks that wrapping reaches subgap.recovery.band_project
@@ -118,6 +118,9 @@ class RecoveryReport:
     contraction_estimate: float
     reason: str | None
 
+    def __post_init__(self):
+        _keep_arrays(self, residual_history=float)
+
     @property
     def iterations(self) -> int:
         return self.residual_history.size
@@ -162,7 +165,13 @@ def invertibility_report(grid: TimeGrid, band: Interval, window: Interval) -> In
     return InvertibilityReport(lambda0=lam, wt=band.width * window.width)
 
 
-def _default_k_max(wt: float, tol: float) -> int:
+def _step_limit(wt: float, tol: float, k_max: int | None) -> int:
+    """``k_max``, or by default the steps to ``tol`` at rate sqrt(WT) plus 50;
+    ValueError names ``tol`` unless it is finite and > 0, or 0 with a k_max."""
+    if not (math.isfinite(tol) and (tol > 0.0 or (tol == 0.0 and k_max is not None))):
+        raise ValueError(f"tol must be finite and > 0 (0 only with a k_max), got {tol!r}")
+    if k_max is not None:
+        return k_max
     if wt <= 0.0:
         return 50
     rho = math.sqrt(min(wt, 1.0 - 1e-12))
@@ -171,7 +180,7 @@ def _default_k_max(wt: float, tol: float) -> int:
 
 def _refusal(report: InvertibilityReport) -> RecoveryReport:
     return RecoveryReport(
-        recovered=None, residual_history=np.empty(0),
+        recovered=None, residual_history=(),
         contraction_estimate=float("nan"), reason=report.reason,
     )
 
@@ -263,7 +272,7 @@ def _neumann_loop(a, c, measure, tol: float, k_max: int):
     ]
     contraction = max(ratios) if ratios else 0.0
     fields = dict(
-        residual_history=np.asarray(rel_history),
+        residual_history=rel_history,
         contraction_estimate=contraction, reason=reason,
     )
     return fields, z, az
@@ -285,11 +294,10 @@ def recover_neumann(
     its window samples h_k = E^H u_{k-1} / n follow the series in dimension
     min(M, K) at O(min(M, K)^2) per step, after one FFT of r.
     """
+    k_max = _step_limit(band.width * window.width, tol, k_max)
     report, op, _, c = _prepared(r, band, window)
     if not report.invertible:
         return _refusal(report)
-    if k_max is None:
-        k_max = _default_k_max(report.wt, tol)
     n, on_window = r.grid.n, op.on_window
     # the gates are one contiguous run, so the samples outside the window
     # are the two slices around it
@@ -330,11 +338,10 @@ def recover_band_neumann(
     ||u_k - u_{k-1}|| / sqrt(n) by Parseval; the series runs in dimension
     min(M, K) at O(min(M, K)^2) per step, with one FFT pair per solve.
     """
+    k_max = _step_limit(band.width * window.width, tol, k_max)
     report, op, q, c = _prepared(r, band, window)
     if not report.invertible:
         return _refusal(report)
-    if k_max is None:
-        k_max = _default_k_max(report.wt, tol)
     n, on_window = r.grid.n, op.on_window
     q_sq = _sq(q)
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    _keep_arrays,
     Interval,
     SampledSignal,
     Spectrum,
@@ -94,14 +95,9 @@ class CombSamples:
     def __post_init__(self):
         if not (math.isfinite(self.period) and self.period > 0):
             raise ValueError(f"period must be finite and > 0, got {self.period}")
-        offsets = np.array(self.offsets, dtype=int)
-        values = np.array(self.values, dtype=complex)
+        offsets, values = _keep_arrays(self, offsets=int, values=complex)
         if offsets.shape != values.shape or offsets.ndim != 1:
             raise ValueError("offsets and values must be 1-d and equally long")
-        offsets.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "values", values)
 
     @property
     def instants(self):

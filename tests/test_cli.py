@@ -192,6 +192,15 @@ def test_colliding_labels_exit_2(tmp_path, capsys, cfg, field):
     assert list((tmp_path / "o").iterdir()) == []
 
 
+@pytest.mark.parametrize("kind,field", [("stability", "sigmas"), ("bounds_audit", "pairs")])
+def test_a_runner_called_with_an_empty_list_is_rejected(tmp_path, kind, field):
+    # only the schemas' minItems kept these away: an empty sigmas passed
+    # with no check, and empty pairs died unpacking the CSV columns
+    with pytest.raises(ValueError, match=f"field `{field}`: needs at least one value"):
+        EXPERIMENTS[kind](tmp_path / "o", **{field: ()})
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "source",
     [p.name for p in CONFIGS] + [f"default {kind}" for kind in sorted(EXPERIMENTS)],

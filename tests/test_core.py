@@ -1,14 +1,21 @@
 """Grids, transforms, norms: the numerical foundation everything sits on."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from subgap import (
+    CombSamples,
+    DensityMatrix,
+    EvolutionSamples,
     GridMismatchError,
     Interval,
+    RecoveryReport,
     SampledSignal,
     Spectrum,
     TimeGrid,
+    WaveFunction,
     forward_spectrum,
     inner_product,
     inverse_signal,
@@ -78,10 +85,56 @@ def test_interval_membership_half_open():
         Interval(0.0, 0.0)
 
 
-def test_signal_values_are_readonly(grid):
-    s = make_demo_signal(grid)
-    with pytest.raises(ValueError):
-        s.values[0] = 0.0
+SMALL = TimeGrid(-2.0, 0.25, 16)
+
+#: each frozen record over arrays, built from keyword arrays named as its fields
+RECORDS = {
+    "SampledSignal": (lambda **a: SampledSignal(SMALL, **a), {"values": np.arange(16.0)}),
+    "Spectrum": (lambda **a: Spectrum(SMALL.dual, **a), {"values": np.arange(16.0)}),
+    "WaveFunction": (lambda **a: WaveFunction(SMALL, **a), {"values": np.arange(16.0)}),
+    "CombSamples": (
+        lambda **a: CombSamples(SMALL, 0.5, **a),
+        {"offsets": np.arange(-2, 3), "values": np.arange(5.0)},
+    ),
+    "DensityMatrix": (
+        DensityMatrix,
+        {"p_grid": np.array([-0.5, 0.5]), "elements": np.eye(2) / 2.0},
+    ),
+    "EvolutionSamples": (
+        EvolutionSamples,
+        {
+            "x_points": np.array([0.0, 1.0]),
+            "t_points": np.array([0.0, 1.0, 2.0]),
+            "values": np.full((3, 2), 0.25),
+        },
+    ),
+    "RecoveryReport.residual_history": (
+        lambda **a: RecoveryReport(None, contraction_estimate=0.5, reason=None, **a),
+        {"residual_history": np.array([0.5, 0.25])},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_keep_read_only_copies_of_their_arrays(name):
+    # every array field rejects a write, and the caller's arrays stay
+    # writable and unchanged
+    build, inputs = RECORDS[name]
+    given = {field: arr.copy() for field, arr in inputs.items()}
+    record = build(**given)
+    arrays = {
+        f.name for f in dataclasses.fields(record)
+        if isinstance(getattr(record, f.name), np.ndarray)
+    }
+    assert arrays == set(given)
+    for field, arr in given.items():
+        kept = getattr(record, field)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[...] = 0
+        np.testing.assert_array_equal(kept, inputs[field])
+        assert arr.flags.writeable and not np.shares_memory(arr, kept)
+        arr[...] = 0
+        np.testing.assert_array_equal(kept, inputs[field])
 
 
 def test_round_trip(grid):

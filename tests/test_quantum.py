@@ -393,6 +393,13 @@ def test_density_and_tomography_reject_non_finite_input(qgrid, field, bad):
             tomography_solve(samples, parts["p_grid"], mass=parts["mass"])
 
 
+def test_density_rejects_an_empty_grid_with_its_own_message():
+    # numpy's "zero-size array to reduction operation maximum" used to
+    # escape from the Hermitian check
+    with pytest.raises(ValueError, match="need at least 1 momentum bins"):
+        DensityMatrix(p_grid=[], elements=np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize(
     "field,p_grid,mass",
     [

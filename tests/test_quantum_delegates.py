@@ -17,12 +17,10 @@ TREE = ast.parse(Path(subgap.quantum.__file__).read_text(encoding="utf-8"))
 #: the free-evolution and tomography code, which has no signal-side twin,
 #: and the finiteness check of its inputs
 LOOPS_ALLOWED = {
-    "EvolutionSamples",
     "evolve_diagonal_series",
     "tomography_solve",
     "_require_finite",
     "_degenerate_pairs",
-    "_complete_populations",
 }
 
 

@@ -178,6 +178,28 @@ def test_lambda0_margin_refuses_below_wt_one():
         recover_state(psi, PhaseSpaceWindows(x_window=window, p_band=band))
 
 
+@pytest.mark.parametrize(
+    "tol,k_max",
+    [(0.0, None), (-1e-10, None), (np.nan, None), (np.inf, None), (-np.inf, None)]
+    + [(np.nan, 5), (np.inf, 5), (-1e-10, 5)],
+)
+def test_series_solvers_reject_a_bad_tol(grid, band, s_w, tol, k_max):
+    # without a k_max these died in the default step count with a math
+    # domain error, a NaN conversion or an OverflowError; with one, a NaN
+    # tol silently ran all k_max steps.  tol = 0 is allowed with a k_max
+    r = _erased(s_w, band)
+    psi = WaveFunction(grid, np.conj(s_w.values))
+    windows = PhaseSpaceWindows(x_window=WINDOW, p_band=band)
+    calls = [
+        lambda: recover_neumann(r, band, WINDOW, tol, k_max),
+        lambda: recover_band_neumann(r, band, WINDOW, tol, k_max),
+        lambda: recover_state(psi, windows, tol, k_max),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be finite"):
+            call()
+
+
 @pytest.mark.parametrize("n,invertible", [(200, True), (216, False)])
 def test_lambda0_margin_width_is_pinned(n, invertible):
     # M = 2 in-band bins over K = n - 2 gated samples, WT < 1 on both grids:

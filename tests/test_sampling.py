@@ -121,8 +121,9 @@ def test_copy_sum_error_strictly_decreases(grid, band, s_w):
 
 
 def test_copy_errors_read_every_order_from_one_transform(grid, band, s_w, monkeypatch):
-    # the run's errors and k_max spectrum equal the per-order calls, from
-    # one forward FFT of r for every order up to the full one
+    # the run erases the gap as wide as T_SN itself; its errors and k_max
+    # spectrum equal the per-order calls, from one forward FFT of r for
+    # every order up to the full one
     window = _gap_between_samples(grid)
     r = erase(s_w, ErasureModel(window=window, source_band=band))
     s_hat = forward_spectrum(s_w)
@@ -138,7 +139,7 @@ def test_copy_errors_read_every_order_from_one_transform(grid, band, s_w, monkey
         sampling, "forward_spectrum", lambda x: calls.append(x) or forward_spectrum(x)
     )
     checks = []
-    errs, spectrum = experiments._copy_errors(checks, r, s_hat, band, T_SN, window.width, 3)
+    errs, spectrum = experiments._copy_errors(checks, s_w, s_hat, band, T_SN, 3)
     assert len(calls) == 1
     assert errs == [_band_l2(spec.values, s_hat, keep) for spec in sums]
     assert np.array_equal(spectrum.values, sums[3].values)

@@ -207,6 +207,35 @@ def test_svg_coordinates_are_formatted_by_one_rule():
     assert sites == [("io", "{:.2f}")]
 
 
+def test_arrays_are_frozen_by_core_or_in_a_memo():
+    # every record keeps its arrays through core's one rule; only the memo
+    # builders freeze in place, since copying E would cost time
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {
+            child: node
+            for node in ast.walk(tree)
+            for child in ast.iter_child_nodes(node)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setflags"
+            ):
+                owner = node
+                while owner in parents and not isinstance(owner, ast.FunctionDef):
+                    owner = parents[owner]
+                sites.append((path.stem, getattr(owner, "name", None)))
+    assert sorted(sites) == [
+        ("core", "_keep_arrays"),
+        ("projections", "_concentration_operator"),
+        ("projections", "_roots_of_unity"),
+        ("recovery", "_transformed"),
+    ]
+
+
 def test_states_are_normalized_by_one_helper():
     # each normalized state is divided by its l2_norm in quantum._normalized,
     # which refuses a zero state with its caller's message
