@@ -204,6 +204,11 @@ def _weight(obj):
     raise TypeError(f"expected SampledSignal or Spectrum, got {type(obj).__name__}")
 
 
+def _ramp(grid: TimeGrid) -> np.ndarray:
+    """exp(2 pi i w_j t_start) on the dual grid, the phase reduced mod 1 first."""
+    return np.exp(2j * np.pi * np.mod(grid.dual.frequencies * grid.t_start, 1.0))
+
+
 def forward_spectrum(s: SampledSignal) -> Spectrum:
     """Riemann-sum transform s_hat(w_j) = dt * sum_k s(t_k) exp(+2 pi i w_j t_k).
 
@@ -214,17 +219,14 @@ def forward_spectrum(s: SampledSignal) -> Spectrum:
     so its rounding error does not grow with |w_j t_start|.
     """
     g = s.grid
-    freqs = g.dual.frequencies
     spec = g.dt * g.n * np.fft.fftshift(np.fft.ifft(s.values))
-    spec = spec * np.exp(2j * np.pi * np.mod(freqs * g.t_start, 1.0))
-    return Spectrum(g.dual, spec)
+    return Spectrum(g.dual, spec * _ramp(g))
 
 
 def inverse_signal(spec: Spectrum) -> SampledSignal:
     """Exact inverse of :func:`forward_spectrum` (negative kernel, dw weights)."""
     tg = spec.grid.time_grid
-    freqs = spec.grid.frequencies
-    g = spec.values * np.exp(-2j * np.pi * np.mod(freqs * tg.t_start, 1.0))
+    g = spec.values * _ramp(tg).conj()
     vals = spec.grid.dw * np.fft.fft(np.fft.ifftshift(g))
     return SampledSignal(tg, vals)
 

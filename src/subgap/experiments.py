@@ -228,6 +228,12 @@ def _distinct(field: str, labels: list[str]) -> list[str]:
     return labels
 
 
+def _demo(grid: TimeGrid, w: float):
+    """The band of width w about 0, and the demo signal projected onto it."""
+    band = Interval(0.0, w)
+    return band, band_project(make_demo_signal(grid), band)
+
+
 def _gap_window(t_sn: float, t_ds: float, dt: float) -> Interval:
     """The erased interval, kept strictly between comb sample instants.
 
@@ -303,8 +309,7 @@ def run_fig2(
             "recovery runs on the gap as wide as the sampling period"
         )
     labels = _distinct("T_DS", [_t_label(t_ds) for t_ds in t_ds_values])
-    band = Interval(0.0, w)
-    s_w = band_project(make_demo_signal(grid), band)
+    band, s_w = _demo(grid, w)
     s_hat = forward_spectrum(s_w)
     freqs = s_hat.grid.frequencies
     in_band = band.mask(freqs)
@@ -382,7 +387,7 @@ def run_bounds_audit(
     """Audit the concentration bounds over a (W, T) sweep.
 
     Per pair: the exact min(M, K) Gram-matrix lambda0 against the trace
-    dt*dw*M*K of the M x M prolate matrix and against its dense eigensolve,
+    M*K/n of the M x M prolate matrix and against its dense eigensolve,
     that trace against WT, and the concentration ratio of the demo signal
     and the band spill of its gated copy against lambda0.
     """
@@ -390,14 +395,13 @@ def run_bounds_audit(
     traces = {}
     keys = _distinct("pairs", [f"W={w:g},T={t:g}" for w, t in pairs])
     for key, (w, t) in zip(keys, pairs):
-        band = Interval(0.0, float(w))
+        band, s_w = _demo(grid, float(w))
         window = Interval(0.0, float(t))
         wt = float(w) * float(t)
         lam = operator_norm_sq(grid, band, window)
         b = prolate_matrix(grid, band, window)
         dense = float(np.linalg.eigvalsh(b)[-1])
         trace = float(np.real(np.trace(b)))
-        s_w = band_project(make_demo_signal(grid), band)
         conc = concentration_ratio(s_w, band, window)
         spill = band_spill_ratio(s_w, band, window)
         ok = (
@@ -458,9 +462,8 @@ def run_recovery(
     At or past the limit every solver must refuse and produce no signal;
     the run then passes when the refusals are consistent with WT >= 1.
     """
-    band = Interval(0.0, w)
+    band, s_w = _demo(grid, w)
     window = Interval(0.0, t_ds)
-    s_w = band_project(make_demo_signal(grid), band)
     r = erase(s_w, ErasureModel(window=window, source_band=band))
     inv = invertibility_report(grid, band, window)
     rec = recover_neumann(r, band, window, tol=tol)
@@ -471,24 +474,24 @@ def run_recovery(
         "lambda0": inv.lambda0,
         "invertible": inv.invertible,
     }
+    try:
+        direct = recover_direct(r, band, window)
+    except RefusalError as exc:
+        if not rec.refused:
+            raise
+        metrics["direct_refusal"] = str(exc)
     if rec.refused:
-        try:
-            recover_direct(r, band, window)
-        except RefusalError as exc:
-            metrics["direct_refusal"] = str(exc)
         refused = rec_band.refused and "direct_refusal" in metrics
         what = "all solvers refuse, no output signal,"
         _limit_refusal(checks, inv, "WT", w * t_ds, what, refused)
         return checks, metrics, []
 
-    direct = recover_direct(r, band, window)
-    nrm = l2_norm(s_w)
-    rel_err = l2_norm(SampledSignal(grid, rec.recovered.values - s_w.values)) / nrm
-    agree = l2_norm(SampledSignal(grid, rec.recovered.values - direct.values)) / nrm
-    band_agree = (
-        l2_norm(SampledSignal(grid, rec_band.recovered.values - rec.recovered.values))
-        / nrm
-    )
+    def rel(a, b):
+        return l2_norm(SampledSignal(grid, a.values - b.values)) / l2_norm(s_w)
+
+    rel_err = rel(rec.recovered, s_w)
+    agree = rel(rec.recovered, direct)
+    band_agree = rel(rec_band.recovered, rec.recovered)
     oob = out_of_band_fraction(rec_band.recovered, band)
     metrics.update(
         {
@@ -556,9 +559,8 @@ def run_stability(
     at 1).
     """
     labels = _distinct("sigmas", [f"{sigma:g}" for sigma in sigmas])
-    band = Interval(0.0, w)
+    band, s_w = _demo(grid, w)
     window = Interval(0.0, t_ds)
-    s_w = band_project(make_demo_signal(grid), band)
     checks = []
     try:
         rows = noise_stability_sweep(s_w, band, window, sigmas, seed=seed)
@@ -602,8 +604,7 @@ def run_sampling(
     spectrum at period 1, and the copy-sum error decrease for the gapped
     signal.
     """
-    band = Interval(0.0, w)
-    s_w = band_project(make_demo_signal(grid), band)
+    band, s_w = _demo(grid, w)
     s_hat = forward_spectrum(s_w)
     freqs = s_hat.grid.frequencies
     in_band = band.mask(freqs)

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import SampledSignal, Spectrum
-from .quantum import DensityMatrix
 
 __all__ = [
     "write_csv",
@@ -66,8 +65,8 @@ def write_spectrum_csv(path, spec: Spectrum) -> Path:
     return write_csv(path, [("w", w), ("re", v.real), ("im", v.imag)])
 
 
-def write_density_csv(path, rho: DensityMatrix) -> Path:
-    """Density-matrix entries as `j,k,re,im`, row-major."""
+def write_density_csv(path, rho) -> Path:
+    """The entries of a ``quantum.DensityMatrix`` as `j,k,re,im`, row-major."""
     m = rho.p_grid.size
     j, k = np.divmod(np.arange(m * m), m)
     v = rho.elements.ravel()

@@ -4,7 +4,7 @@
 ``time_gate`` (P_T) zeroes samples outside a time window.  Both are
 orthogonal projections.  The composite P_W P_T P_W (the prolate
 concentration operator) is built once per (grid, band, window); its top
-eigenvalue lambda0 is at most its trace dt*dw*M*K ~ WT, and every
+eigenvalue lambda0 is at most its trace M*K/n ~ WT, and every
 concentration ratio here is checked against that lambda0 by one guard.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Interval, SampledSignal, TimeGrid
+from .core import Interval, SampledSignal, TimeGrid, _ramp
 from .errors import BoundViolationError, NotBandlimitedError
 
 __all__ = [
@@ -135,11 +135,11 @@ def _gated_exponentials(grid: TimeGrid, band: Interval, window: Interval):
     columns over the indices k of the K gated samples.  The phase is
     reduced mod n in integers, so it is exact before the one rounding of
     the exponential.  With q = n * ifft(r) on the in-band bins, P_W P_T P_W
-    is c * E E^H on in-band data and the window's samples of P_W x are
-    E^H (q + E h) / n, where h holds x on the window and x is r outside it;
-    c = dt * dw = 1/n.  The t_start phase ramps of the transform pair
-    cancel in both, so E carries none.  Returns (E, c, bins, gates), E
-    gathered from :func:`_roots_of_unity`.  Uncached: callers read E from
+    is E E^H / n on in-band data and the window's samples of P_W x are
+    E^H (q + E h) / n, where h holds x on the window and x is r outside it.
+    The t_start phase ramps of the transform pair cancel in both, so E
+    carries none.  Returns (E, bins, gates), E gathered from
+    :func:`_roots_of_unity`.  Uncached: callers read E from
     :func:`_concentration_operator`.
     """
     _check_band(grid, band)
@@ -150,26 +150,25 @@ def _gated_exponentials(grid: TimeGrid, band: Interval, window: Interval):
     if bins.size == 0:
         raise ValueError("band contains no frequency bins")
     e = _roots_of_unity(n)[np.outer(bins, gates) % n]
-    return e, grid.dt * grid.dual.dw, bins, gates
+    return e, bins, gates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ConcentrationOperator:
-    """P_W P_T P_W = c * E E^H with lambda0 and the Gram matrix it came from.
+    """P_W P_T P_W = E E^H / n with lambda0 and the scaled Gram matrix A.
 
-    ``on_window`` is K < M, the one decision of the Gram dimension: ``gram``
-    is then E^H E, on the window's K samples, else E E^H, on the M in-band
-    bins.  Its arrays are read-only: every caller on the same (grid, band,
-    window) shares the record.
+    ``on_window`` is K < M, the one decision of the Gram dimension: ``a``
+    is then A = E^H E / n, on the window's K samples, else E E^H / n, on
+    the M in-band bins; lambda0, a series step and the direct solve all
+    use it as it is.  Its arrays are read-only: one record is shared.
     """
 
     e: np.ndarray
-    c: float
     bins: np.ndarray
     gates: np.ndarray
     lambda0: float
     on_window: bool
-    gram: np.ndarray
+    a: np.ndarray
 
 
 @functools.lru_cache(maxsize=1)
@@ -179,31 +178,29 @@ def _concentration_operator(grid: TimeGrid, band: Interval, window: Interval):
     One entry covers every repeat: a report and then its solves, three
     solvers in a row, a noise sweep, operator_norm_sq then prolate_matrix.
     """
-    e, c, bins, gates = _gated_exponentials(grid, band, window)
+    e, bins, gates = _gated_exponentials(grid, band, window)
     on_window = gates.size < bins.size
-    gram = e.conj().T @ e if on_window else e @ e.conj().T
-    lam = float(c * np.linalg.eigvalsh(gram)[-1]) if gates.size else 0.0
-    for a in (e, bins, gates, gram):
-        a.setflags(write=False)
-    return _ConcentrationOperator(e, c, bins, gates, lam, on_window, gram)
+    a = (e.conj().T @ e if on_window else e @ e.conj().T) / grid.n
+    lam = float(np.linalg.eigvalsh(a)[-1]) if gates.size else 0.0
+    for arr in (e, bins, gates, a):
+        arr.setflags(write=False)
+    return _ConcentrationOperator(e, bins, gates, lam, on_window, a)
 
 
 def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
     """The operator P_W P_T P_W restricted to the in-band spectral basis.
 
     With w_j the M in-band bin frequencies (ascending) and t_k the gated
-    sample instants, the matrix is B = dt * dw * F F^H with
+    sample instants, the matrix is B = F F^H / n (dt * dw = 1/n) with
     F_jk = exp(2 pi i w_j t_k).  F is built as the exact-phase basis E of
-    the solvers times the row phase exp(2 pi i mod(w_j t_start, 1)),
-    which the spectral basis of :func:`forward_spectrum` carries.  B is
-    Hermitian PSD with trace dt*dw*M*K ~ WT, and its largest eigenvalue
-    equals ||P_T P_W||^2.  The dense M x M oracle for
-    :func:`operator_norm_sq` and the direct solve, on their shared E.
+    the solvers times the in-band rows of the t_start ramp of
+    :func:`forward_spectrum`.  B is Hermitian PSD with trace M*K/n ~ WT,
+    and its largest eigenvalue equals ||P_T P_W||^2.  The dense M x M oracle
+    for :func:`operator_norm_sq` and the direct solve, on their shared E.
     """
     op = _concentration_operator(grid, band, window)
-    wb = grid.dual.frequencies[band.mask(grid.dual.frequencies)]
-    f = np.exp(2j * np.pi * np.mod(wb * grid.t_start, 1.0))[:, None] * op.e
-    return op.c * (f @ f.conj().T)
+    f = _ramp(grid)[band.mask(grid.dual.frequencies), None] * op.e
+    return (f @ f.conj().T) / grid.n
 
 
 def prolate_eigenvalues(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
@@ -214,10 +211,10 @@ def prolate_eigenvalues(grid: TimeGrid, band: Interval, window: Interval) -> np.
 def operator_norm_sq(grid: TimeGrid, band: Interval, window: Interval) -> float:
     """Largest eigenvalue lambda0 of P_W P_T P_W, by one Hermitian eigensolve.
 
-    c * E E^H and c * E^H E share their nonzero eigenvalues, so lambda0 is
-    the top eigenvalue of the smaller Gram matrix, of dimension min(M, K)
-    (M in-band bins, K gated samples).  Equals the squared operator norm
-    ||P_T P_W||^2 and satisfies 0 <= lambda0 <= trace = dt*dw*M*K ~ WT;
+    E E^H / n and E^H E / n share their nonzero eigenvalues, so lambda0 is
+    the top eigenvalue of the smaller one, A, of dimension min(M, K) (M
+    in-band bins, K gated samples).  Equals the squared operator norm
+    ||P_T P_W||^2 and satisfies 0 <= lambda0 <= trace = M*K/n ~ WT;
     a window holding no sample gives 0.  Cached with the solvers' E.
     """
     return _concentration_operator(grid, band, window).lambda0

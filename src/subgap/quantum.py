@@ -253,11 +253,17 @@ def position_wave(spec: Spectrum) -> WaveFunction:
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:
-    """|<a|b>| / (||a|| ||b||): overlap magnitude, phase-free."""
+    """|<a|b>| / (||a|| ||b||): overlap magnitude, phase-free.
+
+    ValueError when either state has norm 0.
+    """
     if a.grid != b.grid:
         raise GridMismatchError("wavefunctions live on different grids")
+    na, nb = l2_norm(a), l2_norm(b)
+    if not (na > 0.0 and nb > 0.0):
+        raise ValueError(f"fidelity needs two nonzero states, got norms {na}, {nb}")
     num = abs(a.grid.dt * np.vdot(a.values, b.values))
-    return float(num / (l2_norm(a) * l2_norm(b)))
+    return float(num / (na * nb))
 
 
 def momentum_limit(psi: WaveFunction, band: Interval) -> WaveFunction:
@@ -579,12 +585,15 @@ def rank1_extract(rho: DensityMatrix) -> WaveFunction:
     Returns the corresponding momentum-limited wavefunction on the
     coordinate grid ``rho.grid`` (ValueError when it is None), with the
     phase convention that the largest-magnitude momentum coefficient is
-    real and positive.  Refuses when the second eigenvalue exceeds 1e-6.
+    real and positive.  Refuses when the second eigenvalue exceeds 1e-6;
+    ValueError unless the largest is > 0.
     """
     g = rho.grid
     if g is None:
         raise ValueError("no coordinate grid: build rho with one")
     evals, evecs = np.linalg.eigh(rho.elements)
+    if not evals[-1] > 0.0:
+        raise ValueError(f"density matrix has no positive eigenvalue: {evals[-1]}")
     if rho.p_grid.size >= 2 and evals[-2] > RANK1_TOL:
         raise RefusalError(
             "density matrix is not rank 1; eigenvalues (descending): "

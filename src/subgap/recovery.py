@@ -11,16 +11,16 @@ solve, and a noise-amplification sweep.
 Every term of the series after the first changes the signal only inside
 the window, so the solvers work in the exact-phase basis E of the M
 in-band bins and the K gated samples (``projections._gated_exponentials``).
-That basis, lambda0 and the min(M, K) Gram matrix G of E are built once
-per (grid, band, window) and shared by the refusal check and all three
-solvers.  The in-band transform of an erased signal, and the right-hand
-side the series and the direct solve share, are likewise taken once per
-signal: three solves of one signal make one FFT of it between them, after
-the report passes.  A series step is one product with G, O(min(M, K)^2)
-work; below the limit M K <= WT n + M + K, so min(M, K) is about sqrt(n)
-at most.  Each solve then makes at most one FFT back and at most two
-M x K products, neither of which copies E.  Each report stores only the
-values that decide it.
+That basis, lambda0 and A = G/n, the min(M, K) Gram matrix G of E over n,
+are built once per (grid, band, window) and shared by the refusal check
+and all three solvers.  The in-band transform of an erased signal, and
+the right-hand side the series and the direct solve share, are taken once
+per signal: three solves of one signal make one FFT of it between them,
+after the report passes.  A series step is one product with A,
+O(min(M, K)^2) work; below the limit M K <= WT n + M + K, so min(M, K) is
+about sqrt(n) at most.  Each solve then makes at most one FFT back and at
+most two M x K products, neither of which copies E.  Each report stores
+only the values that decide it.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class InvertibilityReport:
             raise RefusalError(f"refusing {what}: {self.reason}", report=self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryReport:
     """Outcome of an iterative recovery.
 
@@ -205,13 +205,13 @@ def _prepared(r: SampledSignal, band: Interval, window: Interval):
     """The refusal check, then the transform of ``r`` that every solve shares.
 
     Returns (report, op, q, c): q = n * ifft(r) on the in-band bins and c
-    the right-hand side of (I - G/n) z = c, E^H q / n when K < M (z is the
+    the right-hand side of (I - A) z = c, E^H q / n when K < M (z is the
     window's h) and q otherwise (z is u); None when the report refuses.
-    The decision is taken on every call from op.lambda0; only a passing
-    report reads q and c from the memo, so a refusal makes no FFT.
+    :func:`invertibility_report` decides on every call from the cached
+    lambda0; only a passing report reads q and c, so a refusal makes no FFT.
     """
     op = _concentration_operator(r.grid, band, window)
-    report = InvertibilityReport(lambda0=op.lambda0, wt=band.width * window.width)
+    report = invertibility_report(r.grid, band, window)
     if not report.invertible:
         return report, op, None, None
     return (report, op, *_transformed(r, band, window))
@@ -241,7 +241,7 @@ def _in_band_signal(grid: TimeGrid, bins: np.ndarray, u: np.ndarray) -> SampledS
 def _neumann_loop(a, c, measure, tol: float, k_max: int):
     """Iterate z_i = c + A z_{i-1} from z_0 = 0 in the Gram dimension.
 
-    A = G/n, scaled once per solve, and a step is one product with it.
+    A = G/n is the operator's own, and a step is one product with it.
     With c from :func:`_prepared`, z_i = h_i when K < M, else u_{i-1}.
     ``measure(z_i, z_{i-1}, A z_i, A z_{i-1})`` returns the update norm
     and the new iterate's norm, in any one unit; A (z_i - z_{i-1}) is the
@@ -315,7 +315,7 @@ def recover_neumann(
         cross = (2.0 * np.vdot(er, z).real + np.vdot(z, az).real) / n
         return math.sqrt(_a_norm_sq(z, z_prev, az, az_prev) / n), math.sqrt(in_sq + cross)
 
-    fields, z, _ = _neumann_loop(op.gram / n, c, measure, tol, k_max)
+    fields, z, _ = _neumann_loop(op.a, c, measure, tol, k_max)
     x = r.values.copy()
     x[op.gates] = r_t + (z if on_window else (z.conj() @ op.e).conj() / n)
     return RecoveryReport(recovered=SampledSignal(r.grid, x), **fields)
@@ -352,7 +352,7 @@ def recover_band_neumann(
         u = q + az  # z is u_{k-1}
         return _norm(u - z), _norm(u)
 
-    fields, z, az = _neumann_loop(op.gram / n, c, measure, tol, k_max)
+    fields, z, az = _neumann_loop(op.a, c, measure, tol, k_max)
     u = q + op.e @ z if on_window else q + az
     return RecoveryReport(recovered=_in_band_signal(r.grid, op.bins, u), **fields)
 
@@ -361,13 +361,13 @@ def recover_direct(r: SampledSignal, band: Interval, window: Interval) -> Sample
     """Direct in-band solve of (1 - P_W P_T) s_hat = P_W r_hat.
 
     Works on the in-band coefficients u = n * ifft(s) of the solution,
-    where the restricted operator is I - B with B = c E E^H the in-band
+    where the restricted operator is I - B with B = E E^H / n the in-band
     concentration matrix (M in-band bins, K gated samples, E the
-    exact-phase basis, c = 1/n) and the right-hand side is q = n * ifft(r)
-    on the band.  The solve runs in dimension min(M, K): for K < M by the
+    exact-phase basis) and the right-hand side is q = n * ifft(r) on the
+    band.  The solve runs in dimension min(M, K): for K < M by the
     Woodbury identity
-    (I - c E E^H)^{-1} q = q + c E (I - c E^H E)^{-1} E^H q, with the
-    min(M, K) Gram matrix that lambda0 came from.  Since I - B
+    (I - E E^H / n)^{-1} q = q + E (I - A)^{-1} E^H q / n, with the
+    operator's A = E^H E / n that lambda0 came from.  Since I - B
     is Hermitian with B PSD, its condition number is at most
     1/(1 - lambda0), so at most 1e6 once the invertibility report passes.
     Cross-checks the series solvers to 1e-8.
@@ -385,7 +385,7 @@ def recover_direct(r: SampledSignal, band: Interval, window: Interval) -> Sample
             f"direct-solve dimension min(M, K) = {c.size} exceeds "
             f"{DIRECT_SOLVE_DIM_LIMIT}"
         )
-    z = np.linalg.solve(np.eye(c.size) - op.gram / r.grid.n, c)
+    z = np.linalg.solve(np.eye(c.size) - op.a, c)
     u = q + op.e @ z if op.on_window else z
     return _in_band_signal(r.grid, op.bins, u)
 
@@ -415,8 +415,8 @@ def noise_stability_sweep(
     bound = 1.1 / (1.0 - math.sqrt(report.lambda0))
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(s_w.grid.n) + 1j * rng.standard_normal(s_w.grid.n)
-    raw[window.mask(s_w.grid.times)] = 0.0
-    unit = raw / l2_norm(SampledSignal(s_w.grid, raw))
+    noise = complement_gate(SampledSignal(s_w.grid, raw), window)
+    unit = noise.values / l2_norm(noise)
     clean = erase(s_w, ErasureModel(window=window, source_band=band))
     rows = []
     for sigma in sigmas:

@@ -234,7 +234,7 @@ def test_a_series_step_is_one_gram_product(
 
     def counted(*args):
         op = real(*args)
-        return dataclasses.replace(op, gram=op.gram.view(_CountedGram))
+        return dataclasses.replace(op, a=op.a.view(_CountedGram))
 
     monkeypatch.setattr(recovery, "_concentration_operator", counted)
     monkeypatch.setattr(_CountedGram, "products", [])
@@ -328,7 +328,7 @@ def test_gram_top_eigenvalue_obeys_the_exact_grid_bounds(case):
     grid, band, window, m, k = case
     op = projections._concentration_operator(grid, band, window)
     n = grid.n
-    assert op.e.shape == (m, k) and op.gram.shape == (min(m, k),) * 2
+    assert op.e.shape == (m, k) and op.a.shape == (min(m, k),) * 2
     assert op.lambda0 <= m * k / n + 1e-12
     if m + k > n:
         assert op.lambda0 >= 1.0 - 1e-12

@@ -137,6 +137,15 @@ def test_records_keep_read_only_copies_of_their_arrays(name):
         np.testing.assert_array_equal(kept, inputs[field])
 
 
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_over_arrays_compare_by_identity(name):
+    # field-wise == would ask numpy for the truth value of an array
+    build, inputs = RECORDS[name]
+    record, twin = build(**inputs), build(**inputs)
+    assert record == record and record != twin
+    assert hash(record) == hash(record) and len({record, twin}) == 2
+
+
 def test_round_trip(grid):
     rng = np.random.default_rng(11)
     s = SampledSignal(

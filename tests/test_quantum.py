@@ -517,6 +517,15 @@ def test_rank1_extract_rejects_momenta_off_the_grid(qgrid, p_lo):
     with pytest.raises(ValueError, match="does not align with the grid's momentum"):
         rank1_extract(rho)
 
+
+def test_rank1_extract_rejects_a_matrix_with_no_positive_eigenvalue(qgrid):
+    # eigh of the zero matrix used to hand back an arbitrary basis state
+    rho = DensityMatrix(p_grid=[0.125, 0.25], elements=np.zeros((2, 2)), grid=qgrid)
+    with pytest.raises(ValueError, match="no positive eigenvalue") as info:
+        rank1_extract(rho)
+    assert not isinstance(info.value, RefusalError)
+
+
 def test_fidelity_is_phase_free(qgrid):
     psi = _state(qgrid)
     turned = WaveFunction(qgrid, np.exp(0.7j) * psi.values, normalized=True)
@@ -529,6 +538,14 @@ def test_fidelity_across_grids_is_a_grid_mismatch(qgrid):
     with pytest.raises(GridMismatchError) as info:
         fidelity(psi, shifted)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_fidelity_rejects_a_zero_state(qgrid, zero_first):
+    # the overlap over a zero norm used to come back NaN
+    psi, zero = _state(qgrid), WaveFunction(qgrid, np.zeros(qgrid.n))
+    with pytest.raises(ValueError, match="two nonzero states"):
+        fidelity(zero, psi) if zero_first else fidelity(psi, zero)
 
 
 def _band_p_grid(qgrid, m):

@@ -207,27 +207,33 @@ def test_svg_coordinates_are_formatted_by_one_rule():
     assert sites == [("io", "{:.2f}")]
 
 
+def _owned(path, match):
+    """(module, innermost def) of each node in ``path`` that ``match`` accepts."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parents = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+    sites = []
+    for node in ast.walk(tree):
+        if match(node):
+            owner = node
+            while owner in parents and not isinstance(owner, ast.FunctionDef):
+                owner = parents[owner]
+            sites.append((path.stem, getattr(owner, "name", None)))
+    return sites
+
+
 def test_arrays_are_frozen_by_core_or_in_a_memo():
     # every record keeps its arrays through core's one rule; only the memo
     # builders freeze in place, since copying E would cost time
-    sites = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        parents = {
-            child: node
-            for node in ast.walk(tree)
-            for child in ast.iter_child_nodes(node)
-        }
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "setflags"
-            ):
-                owner = node
-                while owner in parents and not isinstance(owner, ast.FunctionDef):
-                    owner = parents[owner]
-                sites.append((path.stem, getattr(owner, "name", None)))
+    def freezes(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "setflags"
+        )
+
+    sites = [site for path in SOURCES for site in _owned(path, freezes)]
     assert sorted(sites) == [
         ("core", "_keep_arrays"),
         ("projections", "_concentration_operator"),
@@ -261,3 +267,75 @@ def test_reports_store_only_what_decides_them():
     ]
     with pytest.raises(errors.RefusalError):
         recovery.InvertibilityReport(lambda0=0.99, wt=2.0)._require("a gap at WT = 2")
+
+
+def test_invertibility_reports_are_built_in_one_place():
+    # the solvers' refusal check reads its report from invertibility_report
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [(path.stem, fn) for _, fn, _ in _sites(tree, "InvertibilityReport")]
+    assert sites == [("recovery", "invertibility_report")]
+
+
+def _names(node):
+    """The names and attribute names inside ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_the_t_start_phase_is_reduced_in_one_place():
+    # forward_spectrum, inverse_signal and prolate_matrix all take the ramp
+    # exp(2 pi i mod(w t_start, 1)) from core._ramp
+    def reduces_t_start(node):
+        return (
+            isinstance(node, ast.Call)
+            and "mod" in _names(node.func)
+            and "t_start" in _names(node)
+        )
+
+    sites = [site for path in SOURCES for site in _owned(path, reduces_t_start)]
+    assert sites == [("core", "_ramp")]
+
+
+def test_the_operator_holds_one_scaled_gram_matrix():
+    # the operator keeps A = G/n, which lambda0, a series step and the direct
+    # solve all use as it is: no unscaled Gram matrix, no dt * dw factor
+    op = projections._ConcentrationOperator
+    assert [f.name for f in dataclasses.fields(op)] == [
+        "e", "bins", "gates", "lambda0", "on_window", "a"
+    ]
+    assert op.__eq__ is object.__eq__ and op.__hash__ is object.__hash__
+
+    def reads_gram(node):
+        return isinstance(node, ast.Attribute) and node.attr == "gram"
+
+    def scales_by_dt_dw(node):  # as grid.dt * grid.dual.dw did
+        product = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        return product and {"dt", "dw"} <= _names(node)
+
+    sites = [
+        site
+        for path in SOURCES
+        for site in _owned(path, lambda n: reads_gram(n) or scales_by_dt_dw(n))
+    ]
+    assert sites == []
+
+
+def test_the_writers_depend_on_core_alone():
+    # write_density_csv reads a density matrix without importing quantum
+    tree = _tree(subgap.io)
+    modules = [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ] + [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    assert [m for m in modules if m.startswith((".", "subgap"))] == [".core"]
