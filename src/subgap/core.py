@@ -14,6 +14,7 @@ continuum counterparts with a quantifiable O(dt) error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,6 +73,10 @@ class TimeGrid:
         Number of samples, an integer (a numpy integer is stored as int);
         must be even (power of two recommended, so the dual grid splits
         symmetrically around w = 0).
+
+    A grid whose span n*dt, end, spacing dw = 1/(n*dt), dual edge
+    (n/2)*dw or largest ramp phase (n/2)*dw*t_start overflows raises
+    ValueError, since its transforms would be NaN.
     """
 
     t_start: float
@@ -90,6 +95,14 @@ class TimeGrid:
         object.__setattr__(self, "n", int(self.n))
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 2, got {self.n}")
+        span = self.n * self.dt
+        edge = self.n // 2 * (1.0 / span)
+        derived = (span, self.t_start + span, edge, edge * self.t_start)
+        if not all(map(math.isfinite, derived)):
+            raise ValueError(
+                f"grid t_start={self.t_start}, dt={self.dt}, n={self.n} overflows: "
+                "n*dt, t_start + n*dt, 1/(n*dt) and (n/2)*t_start/(n*dt) must be finite"
+            )
 
     @property
     def span(self):
@@ -204,9 +217,13 @@ def _weight(obj):
     raise TypeError(f"expected SampledSignal or Spectrum, got {type(obj).__name__}")
 
 
+@functools.lru_cache(maxsize=4)
 def _ramp(grid: TimeGrid) -> np.ndarray:
-    """exp(2 pi i w_j t_start) on the dual grid, the phase reduced mod 1 first."""
-    return np.exp(2j * np.pi * np.mod(grid.dual.frequencies * grid.t_start, 1.0))
+    """The read-only table exp(2 pi i w_j t_start) on the dual grid, the
+    phase reduced mod 1 first; built once per grid (equal grids share it)."""
+    ramp = np.exp(2j * np.pi * np.mod(grid.dual.frequencies * grid.t_start, 1.0))
+    ramp.setflags(write=False)
+    return ramp
 
 
 def forward_spectrum(s: SampledSignal) -> Spectrum:
@@ -216,7 +233,9 @@ def forward_spectrum(s: SampledSignal) -> Spectrum:
     w_j = (j - n/2) dw the kernel splits into a standard inverse DFT and a
     phase ramp carrying t_start, so the sum is exact to rounding.  The
     ramp's phase w_j t_start is reduced mod 1 before it is scaled by 2 pi,
-    so its rounding error does not grow with |w_j t_start|.
+    so its rounding error does not grow with |w_j t_start|.  The ramp
+    depends on the grid alone and is built once per grid, so a warm call
+    is the FFT and one product.
     """
     g = s.grid
     spec = g.dt * g.n * np.fft.fftshift(np.fft.ifft(s.values))

@@ -193,10 +193,11 @@ def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarr
     With w_j the M in-band bin frequencies (ascending) and t_k the gated
     sample instants, the matrix is B = F F^H / n (dt * dw = 1/n) with
     F_jk = exp(2 pi i w_j t_k).  F is built as the exact-phase basis E of
-    the solvers times the in-band rows of the t_start ramp of
-    :func:`forward_spectrum`.  B is Hermitian PSD with trace M*K/n ~ WT,
-    and its largest eigenvalue equals ||P_T P_W||^2.  The dense M x M oracle
-    for :func:`operator_norm_sq` and the direct solve, on their shared E.
+    the solvers times the in-band rows of the grid's memoised t_start ramp,
+    the table :func:`forward_spectrum` reads.  B is Hermitian PSD with
+    trace M*K/n ~ WT, and its largest eigenvalue equals ||P_T P_W||^2.
+    The dense M x M oracle for :func:`operator_norm_sq` and the direct
+    solve, on their shared E.
     """
     op = _concentration_operator(grid, band, window)
     f = _ramp(grid)[band.mask(grid.dual.frequencies), None] * op.e

@@ -19,6 +19,7 @@ spectrum of the samples, which is s_hat on the band.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -168,6 +169,17 @@ def comb_sample(s: SampledSignal, period: float) -> CombSamples:
     return CombSamples(grid=g, period=float(period), offsets=offsets, values=values)
 
 
+@functools.lru_cache(maxsize=8)
+def _sinc_kernel(first: int, count: int, m: int) -> np.ndarray:
+    """The read-only FFT of sinc(d/m) over the ``count`` lags d = first,
+    first + 1, ..., zero-padded to the next power of two at or above
+    ``count``; built once per geometry."""
+    size = 1 << (count - 1).bit_length()
+    kernel = np.fft.fft(np.sinc(np.arange(first, first + count) / m), size)
+    kernel.setflags(write=False)
+    return kernel
+
+
 def sinc_reconstruct(c: CombSamples, at: TimeGrid) -> SampledSignal:
     """Interpolation s(t) = sum_k c_k sinc((t - k*period)/period).
 
@@ -178,7 +190,9 @@ def sinc_reconstruct(c: CombSamples, at: TimeGrid) -> SampledSignal:
     ``at`` must lie on the comb's lattice: period/dt = m and t_start/dt
     integers, else ValueError.  The series is then one linear FFT
     convolution of the comb, zero-stuffed at stride m, with sinc(d/m):
-    O(N log N) for N = at.n + m * K.
+    O(N log N) for N = at.n + m * K.  The kernel's transform depends on
+    the geometry alone and comes from :func:`_sinc_kernel`, so a warm call
+    makes two FFTs, the comb's and the one back.
     """
     m = _multiple("period", c.period, at.dt)
     a = -_origin(at)
@@ -188,9 +202,8 @@ def sinc_reconstruct(c: CombSamples, at: TimeGrid) -> SampledSignal:
     comb = np.zeros(length, dtype=complex)
     np.add.at(comb, (c.offsets - k_lo) * m, c.values)
     # out[i] pairs comb[q] with the kernel at lag a + i - k_lo*m - q
-    lags = np.arange(a - k_lo * m - (length - 1), a - k_lo * m + at.n)
-    size = 1 << (lags.size - 1).bit_length()
-    full = np.fft.ifft(np.fft.fft(comb, size) * np.fft.fft(np.sinc(lags / m), size))
+    kernel = _sinc_kernel(a - k_lo * m - (length - 1), length - 1 + at.n, m)
+    full = np.fft.ifft(np.fft.fft(comb, kernel.size) * kernel)
     return SampledSignal(at, full[length - 1 : length - 1 + at.n])
 
 

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subgap import (
     CombSamples,
@@ -62,6 +64,23 @@ def test_grid_stores_a_numpy_length_as_int():
 def test_non_finite_grid_and_interval_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize(
+    "t_start,dt,n",
+    [
+        (0.0, 1e308, 4),  # n*dt is inf, and dw is 0
+        (1e308, 2e307, 4),  # t_start + n*dt is inf
+        (0.0, 1e-320, 4),  # 1/(n*dt) is inf
+        (1.0, 1e-312, 4096),  # dw is finite, the dual grid's edge n/2 * dw is not
+        (1e300, 1e-10, 4),  # the ramp phase w * t_start at that edge is inf
+    ],
+    ids=["span", "end", "dw", "dual-edge", "ramp-phase"],
+)
+def test_grid_rejects_derived_values_that_overflow(t_start, dt, n):
+    # such a grid used to build, and its transforms came back all NaN
+    with pytest.raises(ValueError, match="overflows"):
+        TimeGrid(t_start, dt, n)
 
 
 def test_grid_layout():
@@ -261,3 +280,62 @@ def test_transform_pair_matches_closed_form_at_the_grid_edge(grid):
     sig = inverse_signal(Spectrum(grid.dual, line)).values
     closed = grid.dual.dw * np.exp(-2j * np.pi * np.mod(w[0] * grid.times, 1.0))
     assert np.max(np.abs(sig - closed)) <= 1e-14 * grid.dual.dw
+
+
+@st.composite
+def _signal_pairs(draw):
+    """Two seeded complex signals on a grid with t_start in [-1e6, 1e6]."""
+    t_start = draw(st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6))
+    grid = TimeGrid(t_start, draw(st.floats(1e-3, 10.0)), 2 * draw(st.integers(1, 128)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = (
+        SampledSignal(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+        for _ in range(2)
+    )
+    return x, y
+
+
+_COEFFS = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@given(_signal_pairs(), _COEFFS, _COEFFS)
+def test_transform_pair_is_linear(pair, a, b):
+    x, y = pair
+    dual = x.grid.dual
+    for transform, make in (
+        (forward_spectrum, lambda v: SampledSignal(x.grid, v)),
+        (inverse_signal, lambda v: Spectrum(dual, v)),
+    ):
+        ax, by = a * transform(make(x.values)).values, b * transform(make(y.values)).values
+        mixed = transform(make(a * x.values + b * y.values)).values
+        scale = max(np.max(np.abs(ax)), np.max(np.abs(by)))
+        assert np.max(np.abs(mixed - (ax + by))) <= 1e-12 * scale, transform.__name__
+
+
+@given(_signal_pairs())
+def test_transform_of_the_conjugate_is_the_mirrored_conjugate(pair):
+    # s_hat of conj(s) at w is conj(s_hat(-w)); bin j holds w_j = (j - n/2) dw,
+    # so -w_j sits at bin n - j, and bin 0 (w = -n/2 dw) has no mirror
+    s, _ = pair
+    spec = forward_spectrum(s).values
+    conj = forward_spectrum(SampledSignal(s.grid, s.values.conj())).values
+    j = np.arange(1, s.grid.n)
+    assert np.max(np.abs(conj[j] - spec[s.grid.n - j].conj())) <= 1e-12 * np.max(np.abs(spec))
+
+
+@given(
+    st.integers(0, 8), st.integers(1, 8), st.integers(-(2**20), 2**20),
+    st.integers(-256, 256), st.integers(0, 2**32 - 1),
+)
+def test_shifting_t_start_turns_the_spectrum_by_a_phase(k, p, start, j, seed):
+    # moving t_start by j*dt multiplies s_hat(w) by exp(2 pi i w j dt); with
+    # dt and n powers of two every phase here is exact, so the two grids'
+    # ramps (two memo entries) agree to rounding even at |t_start| ~ 1e6
+    dt, n = 2.0**-k, 2**p
+    grid, moved = TimeGrid(start * dt, dt, n), TimeGrid((start + j) * dt, dt, n)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    spec = forward_spectrum(SampledSignal(grid, vals)).values
+    turned = np.exp(2j * np.pi * np.mod(grid.dual.frequencies * (j * dt), 1.0)) * spec
+    got = forward_spectrum(SampledSignal(moved, vals)).values
+    assert np.max(np.abs(got - turned)) <= 1e-12 * np.max(np.abs(spec))

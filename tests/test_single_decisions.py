@@ -236,9 +236,11 @@ def test_arrays_are_frozen_by_core_or_in_a_memo():
     sites = [site for path in SOURCES for site in _owned(path, freezes)]
     assert sorted(sites) == [
         ("core", "_keep_arrays"),
+        ("core", "_ramp"),
         ("projections", "_concentration_operator"),
         ("projections", "_roots_of_unity"),
         ("recovery", "_transformed"),
+        ("sampling", "_sinc_kernel"),
     ]
 
 
