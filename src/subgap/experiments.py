@@ -43,6 +43,7 @@ from .io import (
 )
 from .projections import (
     LAMBDA0_TOL,
+    _band_mask,
     band_project,
     band_spill_ratio,
     concentration_ratio,
@@ -251,19 +252,17 @@ def _copy_errors(checks, s_w, s_hat, band, t_sn, k_max):
 
     Checks that the error decreases strictly in k, and that the sum at the
     full order k = t_sn/(2 dt) equals s_hat on the band to 1e-12 relative;
-    returns the errors and the k_max spectrum.  Every order comes from one
-    pass of the running copy sum.
+    returns the errors and the k_max spectrum.  Every order is a row of
+    one table of in-band copy sums.
     """
     window = _gap_window(t_sn, t_sn, s_w.grid.dt)
     r = erase(s_w, ErasureModel(window=window, source_band=band))
-    in_band = band.mask(s_hat.grid.frequencies)
     cfg = SpectralCopyConfig(band=band, t_sn=t_sn, t_ds=window.width, k_max=k_max)
-    errs = []
-    for k, acc in enumerate(_copy_sums(r, cfg)):
-        diff = acc[in_band] - s_hat.values[in_band]
-        errs.append(float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(diff) ** 2))))
-        if k == k_max:
-            spectrum = Spectrum(s_hat.grid, np.where(in_band, acc, 0.0))
+    in_band, table = _copy_sums(r, cfg)
+    want = s_hat.values[in_band]
+    errs = [float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(row - want) ** 2))) for row in table]
+    spectrum = np.zeros_like(s_hat.values)
+    spectrum[in_band] = table[k_max]
     full_err, errs = errs[-1], errs[: k_max + 1]
     _check(
         checks,
@@ -274,7 +273,7 @@ def _copy_errors(checks, s_w, s_hat, band, t_sn, k_max):
     )
     s_norm = float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(s_hat.values[in_band]) ** 2)))
     _at_most(checks, "copy_sum_exact_at_full_order", full_err / s_norm, 1e-12)
-    return errs, spectrum
+    return errs, Spectrum(s_hat.grid, spectrum)
 
 
 @_experiment(
@@ -312,7 +311,7 @@ def run_fig2(
     band, s_w = _demo(grid, w)
     s_hat = forward_spectrum(s_w)
     freqs = s_hat.grid.frequencies
-    in_band = band.mask(freqs)
+    in_band = _band_mask(grid, band)
     band_integral = float(np.real(s_hat.grid.dw * s_hat.values[in_band].sum()))
 
     checks = []
@@ -563,7 +562,7 @@ def run_stability(
     window = Interval(0.0, t_ds)
     checks = []
     try:
-        rows = noise_stability_sweep(s_w, band, window, sigmas, seed=seed)
+        rows, bound = noise_stability_sweep(s_w, band, window, sigmas, seed=seed)
     except RefusalError as exc:
         inv = exc.report
         _limit_refusal(checks, inv, "WT", w * t_ds, "the sweep refuses")
@@ -574,12 +573,12 @@ def run_stability(
             checks,
             f"amplification_bounded_sigma={label}",
             row.amplification,
-            row.bound,
+            bound,
         )
-    names = ("sigma", "err", "amplification", "bound")
-    columns = [(k, [getattr(row, k) for row in rows]) for k in names]
+    columns = [(k, [getattr(row, k) for row in rows]) for k in ("sigma", "err", "amplification")]
+    columns.append(("bound", [bound] * len(rows)))
     artifacts = [write_csv(outdir / "stability.csv", columns)]
-    return checks, {"bound": rows[0].bound if rows else None}, artifacts
+    return checks, {"bound": bound if rows else None}, artifacts
 
 
 @_experiment(
@@ -607,7 +606,7 @@ def run_sampling(
     band, s_w = _demo(grid, w)
     s_hat = forward_spectrum(s_w)
     freqs = s_hat.grid.frequencies
-    in_band = band.mask(freqs)
+    in_band = _band_mask(grid, band)
     checks = []
 
     samples = comb_sample(s_w, t_sn)

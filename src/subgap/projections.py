@@ -39,21 +39,25 @@ BANDLIMIT_TOL = 1e-10
 LAMBDA0_TOL = 1e-12
 
 
-def _check_band(grid: TimeGrid, band: Interval):
+def _band_mask(grid: TimeGrid, band: Interval) -> np.ndarray:
+    """``band``'s bins of ``grid.dual``, ascending; ValueError past Nyquist."""
     nyq = 0.5 / grid.dt
     if band.lo < -nyq - 1e-12 or band.hi > nyq + 1e-12:
         raise ValueError(
             f"band [{band.lo}, {band.hi}) exceeds the Nyquist range "
             f"[-{nyq}, {nyq}) of dt={grid.dt}"
         )
+    return band.mask(grid.dual.frequencies)
 
 
-def _check_window(grid: TimeGrid, window: Interval):
+def _window_mask(grid: TimeGrid, window: Interval) -> np.ndarray:
+    """``window``'s samples of ``grid``; ValueError outside the grid span."""
     if window.lo < grid.t_start - 1e-12 or window.hi > grid.t_end + 1e-12:
         raise ValueError(
             f"window [{window.lo}, {window.hi}) lies outside the grid span "
             f"[{grid.t_start}, {grid.t_end})"
         )
+    return window.mask(grid.times)
 
 
 def band_project(s: SampledSignal, band: Interval) -> SampledSignal:
@@ -63,22 +67,19 @@ def band_project(s: SampledSignal, band: Interval) -> SampledSignal:
     :func:`inverse_signal` cancel around the diagonal mask, so P_W is one
     FFT pair with the mask in unshifted bin order.
     """
-    _check_band(s.grid, band)
-    keep = np.fft.ifftshift(band.mask(s.grid.dual.frequencies))
+    keep = np.fft.ifftshift(_band_mask(s.grid, band))
     return SampledSignal(s.grid, np.fft.fft(np.fft.ifft(s.values) * keep))
 
 
 def time_gate(s: SampledSignal, window: Interval) -> SampledSignal:
     """Apply P_T: zero all samples outside ``window``."""
-    _check_window(s.grid, window)
-    keep = window.mask(s.grid.times)
+    keep = _window_mask(s.grid, window)
     return SampledSignal(s.grid, np.where(keep, s.values, 0.0))
 
 
 def complement_gate(s: SampledSignal, window: Interval) -> SampledSignal:
     """Apply 1 - P_T: zero all samples inside ``window``."""
-    _check_window(s.grid, window)
-    keep = window.mask(s.grid.times)
+    keep = _window_mask(s.grid, window)
     return SampledSignal(s.grid, np.where(keep, 0.0, s.values))
 
 
@@ -87,12 +88,11 @@ def out_of_band_fraction(s: SampledSignal, band: Interval) -> float:
 
     One inverse FFT and Parseval; 0 for a zero signal, NaN for a non-finite one.
     """
-    _check_band(s.grid, band)
+    keep = np.fft.ifftshift(_band_mask(s.grid, band))
     power = np.abs(np.fft.ifft(s.values)) ** 2
     total = power.sum()
     if total == 0.0:
         return 0.0
-    keep = np.fft.ifftshift(band.mask(s.grid.dual.frequencies))
     return math.sqrt(power[~keep].sum() / total) if math.isfinite(total) else math.nan
 
 
@@ -142,11 +142,9 @@ def _gated_exponentials(grid: TimeGrid, band: Interval, window: Interval):
     :func:`_roots_of_unity`.  Uncached: callers read E from
     :func:`_concentration_operator`.
     """
-    _check_band(grid, band)
-    _check_window(grid, window)
     n = grid.n
-    bins = (np.flatnonzero(band.mask(grid.dual.frequencies)) - n // 2) % n
-    gates = np.flatnonzero(window.mask(grid.times))
+    bins = (np.flatnonzero(_band_mask(grid, band)) - n // 2) % n
+    gates = np.flatnonzero(_window_mask(grid, window))
     if bins.size == 0:
         raise ValueError("band contains no frequency bins")
     e = _roots_of_unity(n)[np.outer(bins, gates) % n]
@@ -200,7 +198,7 @@ def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarr
     solve, on their shared E.
     """
     op = _concentration_operator(grid, band, window)
-    f = _ramp(grid)[band.mask(grid.dual.frequencies), None] * op.e
+    f = _ramp(grid)[_band_mask(grid, band), None] * op.e
     return (f @ f.conj().T) / grid.n
 
 

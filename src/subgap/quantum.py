@@ -53,6 +53,7 @@ from .errors import (
     RefusalError,
 )
 from .projections import (
+    _band_mask,
     _require_bandlimited,
     band_project,
     complement_gate,
@@ -340,7 +341,7 @@ def build_density(psi: WaveFunction, band: Interval) -> DensityMatrix:
     """
     _require_bandlimited(_conj(psi), band, "state (in momentum)")
     spec = momentum_spectrum(psi)
-    keep = band.mask(spec.grid.frequencies)
+    keep = _band_mask(psi.grid, band)
     p_grid = spec.grid.frequencies[keep]
     c = spec.values[keep] * np.sqrt(spec.grid.dw)
     nrm = np.linalg.norm(c)
@@ -362,6 +363,7 @@ def evolve_diagonal_series(rho: DensityMatrix, x_points, t_points) -> EvolutionS
     """
     x = np.asarray(x_points, dtype=float)
     t = np.asarray(t_points, dtype=float)
+    _require_finite(x_points=x, t_points=t)
     u = np.exp(-1j * np.outer(t, rho.omegas))
     b = u[:, None, :] * np.exp(2j * np.pi * np.outer(x, rho.p_grid))[None, :, :]
     vals = np.einsum("txj,txj->tx", b @ rho.elements, b.conj())

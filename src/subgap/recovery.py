@@ -3,10 +3,11 @@
 An eraser 1 - P_T removes every sample inside a window [T] from a signal
 bandlimited to [W].  For WT < 1 the map s |-> (1 - P_T) s is injective on
 the bandlimited subspace and its inverse is the geometric operator series
-(1 - P_T P_W)^{-1} = sum_k (P_T P_W)^k, which contracts at rate
-||P_T P_W|| <= sqrt(WT).  This module provides the series solver, a
-variant that iterates entirely on bandlimited data, an in-band direct
-solve, and a noise-amplification sweep.
+(1 - P_T P_W)^{-1} = sum_k (P_T P_W)^k.  Every update after the first
+lies in the window, where a step applies P_T P_W P_T, so the series
+contracts at lambda0 = ||P_T P_W||^2 <= WT.  This module provides the
+series solver, a variant that iterates entirely on bandlimited data, an
+in-band direct solve, and a noise-amplification sweep.
 
 Every term of the series after the first changes the signal only inside
 the window, so the solvers work in the exact-phase basis E of the M
@@ -109,7 +110,8 @@ class RecoveryReport:
     """Outcome of an iterative recovery.
 
     ``residual_history`` holds the relative update norm of each iteration,
-    decaying at ``contraction_estimate`` <= sqrt(WT).  ``recovered`` is
+    decaying at ``contraction_estimate``, which tends to lambda0 =
+    ||P_T P_W||^2 <= WT.  ``recovered`` is
     None when the solver refused; ``reason`` is None when it converged.
     """
 
@@ -141,7 +143,6 @@ class StabilityRow:
     sigma: float
     err: float
     amplification: float
-    bound: float
 
 
 def erase(s_w: SampledSignal, model: ErasureModel) -> SampledSignal:
@@ -287,12 +288,13 @@ def recover_neumann(
 ) -> RecoveryReport:
     """Recover s_W from r = (1 - P_T) s_W by x_{k+1} = r + P_T P_W x_k.
 
-    The iterates converge to the unique bandlimited preimage at geometric
-    rate ||P_T P_W|| <= sqrt(WT); with zero noise the final relative error
-    is <= tol/(1 - sqrt(lambda0)).  Refuses (without iterating) when the
-    invertibility report fails.  Each x_k equals r outside the window, and
-    its window samples h_k = E^H u_{k-1} / n follow the series in dimension
-    min(M, K) at O(min(M, K)^2) per step, after one FFT of r.
+    The iterates converge to the unique bandlimited preimage; every update
+    after the first lies in the window and shrinks by P_T P_W P_T, so the
+    series contracts at lambda0 = ||P_T P_W||^2 <= WT.  Refuses (without
+    iterating) when the invertibility report fails.  Each x_k equals r
+    outside the window, and its window samples h_k = E^H u_{k-1} / n
+    follow the series in dimension min(M, K) at O(min(M, K)^2) per step,
+    after one FFT of r.
     """
     k_max = _step_limit(band.width * window.width, tol, k_max)
     report, op, _, c = _prepared(r, band, window)
@@ -396,14 +398,15 @@ def noise_stability_sweep(
     window: Interval,
     noise_levels,
     seed: int = 0,
-) -> list[StabilityRow]:
+) -> tuple[list[StabilityRow], float]:
     """Recovery error versus noise strength on the kept samples.
 
     For each sigma, complex white noise of L2 norm sigma (fixed seed, zeroed
     on the window) is added to the erased signal and the series solver is
     run to tol = 1e-10.  The amplification err/sigma is bounded by the
-    geometric-series constant 1/(1 - sqrt(lambda0)) plus 10% slack; each
-    row carries both, so the caller can check them.  ``s_w`` is erased, and so checked for
+    geometric-series constant 1/(1 - sqrt(lambda0)) plus 10% slack, one
+    value for the sweep: returns (rows, bound), so the caller can check
+    each row against it.  ``s_w`` is erased, and so checked for
     bandlimitedness, once for the whole sweep; a sigma that is negative or
     not finite raises ValueError.
     """
@@ -426,5 +429,5 @@ def noise_stability_sweep(
         rec = recover_neumann(r, band, window, tol=1e-10)
         err = l2_norm(SampledSignal(s_w.grid, rec.recovered.values - s_w.values))
         amp = err / sigma if sigma > 0.0 else 0.0
-        rows.append(StabilityRow(sigma=sigma, err=err, amplification=amp, bound=bound))
-    return rows
+        rows.append(StabilityRow(sigma=sigma, err=err, amplification=amp))
+    return rows, bound

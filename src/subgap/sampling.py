@@ -20,7 +20,6 @@ spectrum of the samples, which is s_hat on the band.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +35,7 @@ from .core import (
     inverse_signal,
 )
 from .errors import GridMismatchError
-from .projections import band_project, time_gate
+from .projections import _band_mask, band_project, time_gate
 
 __all__ = [
     "CombSamples",
@@ -237,13 +236,13 @@ def periodized_spectrum(c: CombSamples) -> Spectrum:
 
 
 def _copy_sums(r: SampledSignal, cfg: SpectralCopyConfig):
-    """Yield the copy sums of r_hat for k = 0, 1, ..., m // 2, not yet banded.
+    """The in-band copy sums of r_hat for k = 0..m // 2, as (mask, table).
 
-    m = t_sn/dt; copy k adds the cyclic shifts of r_hat by +-k n/m bins (at
-    2k = m the two coincide and count once).  One forward FFT serves every
-    order, and each yield is the one running buffer, which the next step
-    overwrites.  The guards of :func:`spectral_copy_recover` run first,
-    ``cfg.k_max`` included.
+    m = t_sn/dt; copy k adds r_hat shifted cyclically by +-k n/m bins (once
+    at 2k = m).  Row k of ``table`` is the sum of order k on the bins
+    ``mask`` keeps: one forward FFT, a gather per shift and one sequential
+    cumsum, about n entries as W <= 1/t_sn.  The guards of
+    :func:`spectral_copy_recover` run first, ``cfg.k_max`` included.
     """
     g = r.grid
     m = _multiple("t_sn", cfg.t_sn, g.dt)
@@ -252,16 +251,14 @@ def _copy_sums(r: SampledSignal, cfg: SpectralCopyConfig):
         raise ValueError(f"t_sn/dt = {m} does not divide n = {g.n}")
     if cfg.k_max > m // 2:
         raise ValueError(f"k_max = {cfg.k_max} exceeds t_sn/(2 dt) = {m // 2}, the exact order")
-    rhat = forward_spectrum(r)
-    step = g.n // m
-    acc = rhat.values.copy()
-    yield acc
-    for k in range(1, m // 2 + 1):
-        pair = np.roll(rhat.values, k * step)
-        if 2 * k != m:
-            pair += np.roll(rhat.values, -k * step)
-        acc += pair
-        yield acc
+    keep = _band_mask(g, cfg.band)
+    rhat = forward_spectrum(r).values
+    bins = np.flatnonzero(keep)
+    shifts = np.arange(1, m // 2 + 1)[:, None] * (g.n // m)
+    copies = rhat.take(bins - shifts, mode="wrap") + rhat.take(bins + shifts, mode="wrap")
+    if m % 2 == 0:
+        copies[-1] = rhat.take(bins - shifts[-1], mode="wrap")
+    return keep, np.cumsum(np.vstack([rhat[bins], copies]), axis=0)
 
 
 def spectral_copy_recover(r: SampledSignal, cfg: SpectralCopyConfig) -> SpectralCopyResult:
@@ -276,10 +273,10 @@ def spectral_copy_recover(r: SampledSignal, cfg: SpectralCopyConfig) -> Spectral
     ValueError unless m is an integer dividing n, t = 0 is a grid point
     and k_max <= m // 2, past which the copies only repeat.
     """
-    acc = next(itertools.islice(_copy_sums(r, cfg), cfg.k_max, None))
-    grid = r.grid.dual
-    acc[~cfg.band.mask(grid.frequencies)] = 0.0
-    return SpectralCopyResult(spectrum=Spectrum(grid, acc), k_used=cfg.k_max)
+    keep, table = _copy_sums(r, cfg)
+    acc = np.zeros(r.grid.n, dtype=complex)
+    acc[keep] = table[cfg.k_max]
+    return SpectralCopyResult(spectrum=Spectrum(r.grid.dual, acc), k_used=cfg.k_max)
 
 
 def band_approx_first_term(r: SampledSignal, band: Interval, t_ds: float) -> BandApproxResult:
@@ -295,8 +292,8 @@ def band_approx_first_term(r: SampledSignal, band: Interval, t_ds: float) -> Ban
     """
     if not (math.isfinite(t_ds) and t_ds > 0):
         raise ValueError(f"t_ds must be finite and > 0, got {t_ds}")
+    keep = _band_mask(r.grid, band)
     rhat = forward_spectrum(r)
-    keep = band.mask(rhat.grid.frequencies)
     vals = np.where(keep, rhat.values, 0.0)
     wt = band.width * t_ds
     integral = float(np.real(rhat.grid.dw * np.sum(rhat.values[keep])))
@@ -335,7 +332,7 @@ def integral_equation_residual(
     if s_hat.grid != r_hat.grid:
         raise GridMismatchError("spectra live on different grids")
     fg = s_hat.grid
-    keep = band.mask(fg.frequencies)
+    keep = _band_mask(fg.time_grid, band)
     s_w = inverse_signal(Spectrum(fg, np.where(keep, s_hat.values, 0.0)))
     folded = forward_spectrum(time_gate(s_w, Interval(0.0, t_ds))).values[keep]
     resid = r_hat.values[keep] - s_hat.values[keep] + folded

@@ -1,6 +1,7 @@
 """The library surface that the benchmark under perfbench/ binds.
 
-perfbench/workloads.py calls the package as ``sg.<name>``, the tracer in
+perfbench/workloads.py calls the package as ``sg.<name>``, passes some
+arguments by keyword and reads some result fields, the tracer in
 perfbench/tracing.py binds some arguments by name and reads the files the
 writers return, and the tracer's install test expects ``band_project`` to
 be bound in ``subgap.recovery``.  A rename in the library breaks the
@@ -9,6 +10,7 @@ benchmark's sources and import nothing from it.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -30,6 +32,13 @@ HOOK_PARAMS = {
 }
 
 
+#: the result fields the sampling workload's check reads
+RESULT_FIELDS = {
+    "SpectralCopyResult": ["spectrum", "k_used"],
+    "BandApproxResult": ["approx", "regime"],
+}
+
+
 def _tree(name):
     return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
 
@@ -44,6 +53,35 @@ def test_every_name_the_workloads_call_resolves():
     }
     assert "recover_neumann" in names
     assert sorted(n for n in names if not hasattr(subgap, n)) == []
+
+
+def test_every_keyword_the_workloads_pass_is_a_parameter():
+    passed = {
+        (node.func.attr, kw.arg)
+        for node in ast.walk(_tree("workloads.py"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "sg"
+        for kw in node.keywords
+        if kw.arg is not None
+    }
+    assert ("SpectralCopyConfig", "t_ds") in passed
+    unknown = sorted(
+        (name, kw) for name, kw in passed
+        if kw not in inspect.signature(getattr(subgap, name)).parameters
+    )
+    assert unknown == []
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_FIELDS))
+def test_result_fields_the_sampling_check_reads_exist(name):
+    read = {
+        node.attr for node in ast.walk(_tree("workloads.py")) if isinstance(node, ast.Attribute)
+    }
+    fields = [f.name for f in dataclasses.fields(getattr(subgap, name))]
+    assert [f for f in RESULT_FIELDS[name] if f not in read] == []
+    assert [f for f in RESULT_FIELDS[name] if f not in fields] == []
 
 
 def _hooked():

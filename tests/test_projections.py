@@ -12,15 +12,21 @@ from subgap import (
     NotBandlimitedError,
     PhaseSpaceWindows,
     SampledSignal,
+    SpectralCopyConfig,
     Spectrum,
     TimeGrid,
     WaveFunction,
+    band_approx_first_term,
+    band_interpolate,
     band_project,
     band_spill_ratio,
     complement_gate,
     concentration_ratio,
+    build_density,
+    comb_sample,
     forward_spectrum,
     inner_product,
+    integral_equation_residual,
     inverse_signal,
     l2_norm,
     landau_pollak_ratio,
@@ -31,6 +37,7 @@ from subgap import (
     prolate_matrix,
     segment_compatibility,
     smear_response,
+    spectral_copy_recover,
     time_gate,
 )
 
@@ -295,3 +302,33 @@ def test_ratios_read_the_cached_operator(grid, band, s_w, monkeypatch):
     assert calls == []
     concentration_ratio(s_w, band, window)
     assert calls == ["ifft"]
+
+
+# every public function that takes a band, called with a band on the default
+# grid; each must meet the band with the one Nyquist-checked mask
+TAKES_A_BAND = {
+    "band_project": lambda s, band: band_project(s, band),
+    "out_of_band_fraction": lambda s, band: out_of_band_fraction(s, band),
+    "operator_norm_sq": lambda s, band: operator_norm_sq(s.grid, band, Interval(0.0, 0.25)),
+    "band_interpolate": lambda s, band: band_interpolate(comb_sample(s, 0.25), band),
+    "build_density": lambda s, band: build_density(
+        WaveFunction(s.grid, np.conj(s.values)), band  # momentum-limited to the band
+    ),
+    "band_approx_first_term": lambda s, band: band_approx_first_term(s, band, 0.25),
+    "spectral_copy_recover": lambda s, band: spectral_copy_recover(
+        s, SpectralCopyConfig(band=band, t_sn=0.25, t_ds=0.25, k_max=1)
+    ),
+    "integral_equation_residual": lambda s, band: integral_equation_residual(
+        forward_spectrum(s), forward_spectrum(s), band, 0.25
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_A_BAND))
+def test_a_band_past_nyquist_is_rejected_everywhere(grid, s_w, name):
+    # [29, 33) crosses the +32 edge of dt = 1/64: no function may truncate
+    # it silently to the bins that exist
+    assert 0.5 / grid.dt == 32.0
+    TAKES_A_BAND[name](s_w, Interval(0.0, 2.0))
+    with pytest.raises(ValueError, match="Nyquist"):
+        TAKES_A_BAND[name](s_w, Interval(31.0, 4.0))

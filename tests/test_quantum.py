@@ -691,3 +691,15 @@ def test_evolution_names_the_first_non_hermitian_time(qgrid):
     object.__setattr__(rho, "elements", upper)
     with pytest.raises(BoundViolationError, match=r"at t=1\.0$"):
         evolve_diagonal_series(rho, [0.0], [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("field", ["x_points", "t_points"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evolution_rejects_non_finite_points_as_bad_input(qgrid, field, bad):
+    # a NaN time or an infinite position used to raise RuntimeWarnings and
+    # then a BoundViolationError, the error of a broken bound
+    rho = _random_pure_density(qgrid, 44)
+    points = {"x_points": np.linspace(-3.0, 3.0, 4), "t_points": np.linspace(0.0, 5.0, 4)}
+    points[field][2] = bad
+    with pytest.raises(ValueError, match=field):
+        evolve_diagonal_series(rho, **points)

@@ -85,7 +85,8 @@ def test_series_recovery_is_exact(grid, band, s_w):
 def test_contraction_rate_matches_operator_norm(grid, band, s_w):
     rec = recover_neumann(_erased(s_w, band), band, WINDOW)
     report = invertibility_report(grid, band, WINDOW)
-    # successive updates shrink at most by ||P_T P_W|| = sqrt(lambda0)
+    # successive updates shrink by lambda0 = ||P_T P_W||^2; sqrt(lambda0)
+    # and sqrt(WT) are looser caps
     assert rec.contraction_estimate <= np.sqrt(report.lambda0) + 0.02
     assert rec.contraction_estimate <= np.sqrt(0.5) + 0.02
 
@@ -228,13 +229,13 @@ def test_iteration_budget_reported_honestly(band, s_w):
 
 def test_noise_amplification_bounded(grid, band, s_w):
     sigmas = (1e-6, 1e-4, 1e-2)
-    rows = noise_stability_sweep(s_w, band, WINDOW, sigmas, seed=5)
+    rows, bound = noise_stability_sweep(s_w, band, WINDOW, sigmas, seed=5)
     errs = [row.err for row in rows]
-    assert all(row.amplification <= row.bound for row in rows)
+    assert all(row.amplification <= bound for row in rows)
     # the channel is linear, so error grows with the noise level
     assert errs[0] < errs[1] < errs[2]
     # and the clean-data error sits at solver tolerance, far below sigma
-    clean = noise_stability_sweep(s_w, band, WINDOW, (0.0,), seed=5)[0]
+    clean = noise_stability_sweep(s_w, band, WINDOW, (0.0,), seed=5)[0][0]
     assert clean.err <= 1e-8
     assert clean.amplification == 0.0
 

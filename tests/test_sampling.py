@@ -244,6 +244,31 @@ def test_copy_sum_at_full_order_is_the_periodized_spectrum(case):
         spectral_copy_recover(r, dataclasses.replace(cfg, k_max=m // 2 + 1))
 
 
+def _rolled_copy_sum(r, band, m, k):
+    """The copy sum by its definition: r_hat plus, for j = 1..k, its cyclic
+    shifts by +-j n/m bins (one shift at 2j = m), then banded."""
+    rhat = forward_spectrum(r).values
+    step = r.grid.n // m
+    acc = rhat.copy()
+    for j in range(1, k + 1):
+        pair = np.roll(rhat, j * step)
+        if 2 * j != m:
+            pair += np.roll(rhat, -j * step)
+        acc += pair
+    acc[~band.mask(r.grid.dual.frequencies)] = 0.0
+    return acc
+
+
+@given(_copy_cases())
+def test_copy_sum_is_bitwise_the_rolled_definition_at_every_order(case):
+    m, band, s_w, gap = case
+    r = erase(s_w, ErasureModel(window=gap, source_band=band))
+    for k in range(m // 2 + 1):
+        cfg = SpectralCopyConfig(band=band, t_sn=m * r.grid.dt, t_ds=gap.width, k_max=k)
+        got = spectral_copy_recover(r, cfg).spectrum.values
+        assert np.array_equal(got, _rolled_copy_sum(r, band, m, k)), k
+
+
 def test_copy_sum_is_not_exact_when_the_gap_swallows_a_sample(band, s_w):
     # [0, 1/4) erases the comb instant t = 0 itself
     r = erase(s_w, ErasureModel(window=Interval(0.125, 0.25), source_band=band))

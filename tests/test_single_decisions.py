@@ -101,6 +101,27 @@ def test_t_zero_on_the_grid_is_decided_by_one_helper():
     assert callers == ["_copy_sums", "comb_sample", "sinc_reconstruct"]
 
 
+def test_intervals_meet_a_grid_by_one_rule_each():
+    # a band is masked only after its Nyquist check and a window only after
+    # its span check, because only these two rules call Interval.mask
+    sites = []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                sites += [
+                    (path.stem, fn.name)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "mask"
+                ]
+    assert sorted(sites) == [("projections", "_band_mask"), ("projections", "_window_mask")]
+
+
+def test_the_copy_sums_are_one_table_not_a_generator():
+    assert not [n for n in ast.walk(_tree(sampling)) if isinstance(n, (ast.Yield, ast.YieldFrom))]
+
+
 def test_no_name_is_exported_by_two_modules():
     # the package star-imports these, so a repeated name would shadow
     modules = (core, errors, projections, recovery, sampling, quantum)
