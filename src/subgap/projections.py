@@ -3,9 +3,10 @@
 ``band_project`` (P_W) zeroes spectrum bins outside a frequency interval;
 ``time_gate`` (P_T) zeroes samples outside a time window.  Both are
 orthogonal projections.  The composite P_W P_T P_W (the prolate
-concentration operator) is built once per (grid, band, window); its top
-eigenvalue lambda0 is at most its trace M*K/n ~ WT, and every
-concentration ratio here is checked against that lambda0 by one guard.
+concentration operator) is built once per (grid, band, window) for the
+solvers, prolate_matrix, the ratios here and sampling's integral-equation
+residual; its top eigenvalue lambda0 is at most its trace M*K/n ~ WT,
+and every concentration ratio is checked against that lambda0 by one guard.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def _concentration_operator(grid: TimeGrid, band: Interval, window: Interval):
     """The one build of E and lambda0 per (grid, band, window).
 
     One entry covers every repeat: a report and then its solves, three
-    solvers in a row, a noise sweep, operator_norm_sq then prolate_matrix.
+    solvers in a row, a noise sweep, operator_norm_sq then prolate_matrix;
+    the integral-equation residual reads E from it too.
     """
     e, bins, gates = _gated_exponentials(grid, band, window)
     on_window = gates.size < bins.size

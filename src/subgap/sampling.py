@@ -31,11 +31,11 @@ from .core import (
     SampledSignal,
     Spectrum,
     TimeGrid,
+    _ramp,
     forward_spectrum,
-    inverse_signal,
 )
 from .errors import GridMismatchError
-from .projections import _band_mask, band_project, time_gate
+from .projections import _band_mask, _concentration_operator, band_project
 
 __all__ = [
     "CombSamples",
@@ -235,13 +235,21 @@ def periodized_spectrum(c: CombSamples) -> Spectrum:
     return Spectrum(g.dual, c.period * g.n * np.fft.fftshift(np.fft.ifft(comb)))
 
 
+@functools.lru_cache(maxsize=1)
+def _spectrum_of(r: SampledSignal) -> np.ndarray:
+    """The read-only ``forward_spectrum(r).values`` of the last signal, keyed
+    by identity as ``recovery._transformed`` is: the copy sums of every
+    order and the first term of one erased r share its one FFT."""
+    return forward_spectrum(r).values
+
+
 def _copy_sums(r: SampledSignal, cfg: SpectralCopyConfig):
     """The in-band copy sums of r_hat for k = 0..m // 2, as (mask, table).
 
     m = t_sn/dt; copy k adds r_hat shifted cyclically by +-k n/m bins (once
     at 2k = m).  Row k of ``table`` is the sum of order k on the bins
-    ``mask`` keeps: one forward FFT, a gather per shift and one sequential
-    cumsum, about n entries as W <= 1/t_sn.  The guards of
+    ``mask`` keeps: one forward FFT per signal, a gather per shift and one
+    sequential cumsum, about n entries as W <= 1/t_sn.  The guards of
     :func:`spectral_copy_recover` run first, ``cfg.k_max`` included.
     """
     g = r.grid
@@ -252,7 +260,7 @@ def _copy_sums(r: SampledSignal, cfg: SpectralCopyConfig):
     if cfg.k_max > m // 2:
         raise ValueError(f"k_max = {cfg.k_max} exceeds t_sn/(2 dt) = {m // 2}, the exact order")
     keep = _band_mask(g, cfg.band)
-    rhat = forward_spectrum(r).values
+    rhat = _spectrum_of(r)
     bins = np.flatnonzero(keep)
     shifts = np.arange(1, m // 2 + 1)[:, None] * (g.n // m)
     copies = rhat.take(bins - shifts, mode="wrap") + rhat.take(bins + shifts, mode="wrap")
@@ -293,10 +301,10 @@ def band_approx_first_term(r: SampledSignal, band: Interval, t_ds: float) -> Ban
     if not (math.isfinite(t_ds) and t_ds > 0):
         raise ValueError(f"t_ds must be finite and > 0, got {t_ds}")
     keep = _band_mask(r.grid, band)
-    rhat = forward_spectrum(r)
-    vals = np.where(keep, rhat.values, 0.0)
+    rhat = _spectrum_of(r)
+    vals = np.where(keep, rhat, 0.0)
     wt = band.width * t_ds
-    integral = float(np.real(rhat.grid.dw * np.sum(rhat.values[keep])))
+    integral = float(np.real(r.grid.dual.dw * np.sum(rhat[keep])))
     if abs(1.0 - wt) > 1e-12:
         offset = t_ds * integral / (1.0 - wt)
     else:
@@ -308,7 +316,7 @@ def band_approx_first_term(r: SampledSignal, band: Interval, t_ds: float) -> Ban
     else:
         regime = "ok"
     return BandApproxResult(
-        approx=Spectrum(rhat.grid, vals), predicted_offset=offset, regime=regime
+        approx=Spectrum(r.grid.dual, vals), predicted_offset=offset, regime=regime
     )
 
 
@@ -325,15 +333,17 @@ def integral_equation_residual(
     where K is the transform of the gate indicator.  On the grid K is the
     Dirichlet sum dt * sum_{t in gate} exp(2 pi i (w - w') t), not its
     continuum limit t_ds * sinc(t_ds (w - w')), which would leave an O(dt)
-    floor; the folded integral is then P_W P_T P_W s_hat, two FFTs in
-    O(n log n).  Matched pairs give residuals at rounding level, far below
-    1e-6.
+    floor; the folded integral is then P_W P_T P_W s_hat, read off the
+    operator's E as ramp * E (E^H (conj(ramp) * s_hat)) / n, O(M K) with
+    no FFT (ValueError for a band holding no bin).  Matched pairs give
+    residuals at rounding level, far below 1e-6.
     """
     if s_hat.grid != r_hat.grid:
         raise GridMismatchError("spectra live on different grids")
-    fg = s_hat.grid
-    keep = _band_mask(fg.time_grid, band)
-    s_w = inverse_signal(Spectrum(fg, np.where(keep, s_hat.values, 0.0)))
-    folded = forward_spectrum(time_gate(s_w, Interval(0.0, t_ds))).values[keep]
-    resid = r_hat.values[keep] - s_hat.values[keep] + folded
-    return float(np.sqrt(fg.dw * np.sum(np.abs(resid) ** 2)))
+    g = s_hat.grid.time_grid
+    op = _concentration_operator(g, band, Interval(0.0, t_ds))
+    keep = _band_mask(g, band)
+    ramp, s_in = _ramp(g)[keep], s_hat.values[keep]
+    folded = ramp * (op.e @ (op.e.conj().T @ (ramp.conj() * s_in))) / g.n
+    resid = r_hat.values[keep] - s_in + folded
+    return float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(resid) ** 2)))

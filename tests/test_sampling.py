@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from subgap import (
@@ -24,13 +24,15 @@ from subgap import (
     erase,
     forward_spectrum,
     integral_equation_residual,
+    inverse_signal,
     make_demo_signal,
     out_of_band_fraction,
     periodized_spectrum,
     sinc_reconstruct,
     spectral_copy_recover,
+    time_gate,
 )
-from subgap import experiments, sampling
+from subgap import experiments, projections, sampling
 
 T_SN = 0.25
 
@@ -146,6 +148,45 @@ def test_copy_errors_read_every_order_from_one_transform(grid, band, s_w, monkey
     assert [c["name"] for c in checks if c["passed"]] == [
         "copy_sum_error_decreases", "copy_sum_exact_at_full_order"
     ]
+
+
+def test_copy_sums_and_first_term_share_one_transform_of_r(grid, band, s_w, monkeypatch):
+    window = _gap_between_samples(grid)
+    r = erase(s_w, ErasureModel(window=window, source_band=band))
+    calls, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **kw: calls.append(a) or ifft(*a, **kw))
+    for k in range(4):
+        cfg = SpectralCopyConfig(band=band, t_sn=T_SN, t_ds=window.width, k_max=k)
+        spectral_copy_recover(r, cfg)
+    band_approx_first_term(r, band, window.width)
+    assert len(calls) == 1
+
+
+def test_copy_sums_after_an_eviction_equal_the_cold_call(grid, band, s_w):
+    window = _gap_between_samples(grid)
+    r = erase(s_w, ErasureModel(window=window, source_band=band))
+    cfg = SpectralCopyConfig(band=band, t_sn=T_SN, t_ds=window.width, k_max=3)
+
+    def outputs():
+        return (
+            spectral_copy_recover(r, cfg).spectrum.values,
+            band_approx_first_term(r, band, window.width).approx.values,
+        )
+
+    cold = outputs()
+    sampling._spectrum_of(s_w)  # the one entry now holds another signal
+    misses = sampling._spectrum_of.cache_info().misses
+    evicted = outputs()
+    assert sampling._spectrum_of.cache_info().misses == misses + 1
+    for a, b in zip(cold, evicted):
+        assert np.array_equal(a, b)
+
+
+def test_spectrum_memo_is_the_transform_and_read_only(s_w):
+    vals = sampling._spectrum_of(s_w)
+    assert vals.tobytes() == forward_spectrum(s_w).values.tobytes()
+    assert sampling._spectrum_of(s_w) is vals
+    assert not vals.flags.writeable
 
 
 def test_copy_sum_is_exact_at_full_order_and_stops_there(grid, band, s_w):
@@ -413,6 +454,89 @@ def test_integral_equation_residual_matches_dirichlet_form(t_ds):
     dense = np.sqrt(fg.dw * np.sum(np.abs(resid) ** 2))
     got = integral_equation_residual(s_hat, r_hat, band, t_ds)
     assert abs(got - dense) <= 1e-12 * dense
+
+
+def _residual_by_fft_pair(s_hat, r_hat, band, t_ds):
+    """The residual as an FFT pair around the gate: P_W P_T P_W s_hat as
+    forward_spectrum(time_gate(inverse_signal(P_W s_hat)))."""
+    fg = s_hat.grid
+    keep = band.mask(fg.frequencies)
+    s_w = inverse_signal(Spectrum(fg, np.where(keep, s_hat.values, 0.0)))
+    folded = forward_spectrum(time_gate(s_w, Interval(0.0, t_ds))).values[keep]
+    resid = r_hat.values[keep] - s_hat.values[keep] + folded
+    return float(np.sqrt(fg.dw * np.sum(np.abs(resid) ** 2)))
+
+
+def _residual_case(n, dt, off, i0, bins, lo, frac, seed):
+    """Two unrelated random spectra on the grid t_start = -(i0 + off) dt, the
+    band of bins lo..lo+bins-1 and a gate filling ``frac`` of the widest
+    [-t_ds/2, t_ds/2) inside the span (off = 0.5 puts t = 0 between samples)."""
+    grid = TimeGrid(-(i0 + off) * dt, dt, n)
+    band = Interval((lo + bins / 2 - 0.5) / grid.span, bins / grid.span)
+    t_ds = 2.0 * min(-grid.t_start, grid.t_end) * frac
+    rng = np.random.default_rng(seed)
+    s_hat, r_hat = (
+        Spectrum(grid.dual, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for _ in range(2)
+    )
+    return s_hat, r_hat, band, t_ds
+
+
+#: a gate of K = 32 samples against M = 2 bins, and one that holds no sample
+WIDE_GATE = _residual_case(64, 1.0 / 32, 0.0, 32, 2, 3, 0.5, 4)
+EMPTY_GATE = _residual_case(64, 1.0 / 32, 0.5, 20, 9, -4, 0.01, 5)
+
+
+@st.composite
+def _residual_cases(draw):
+    n = 2 * draw(st.integers(2, 128))
+    bins = draw(st.integers(1, n - 1))
+    return _residual_case(
+        n,
+        draw(st.sampled_from([1.0 / 32, 0.1, 0.75])),
+        draw(st.sampled_from([0.0, 0.5])),
+        draw(st.integers(1, n - 2)),
+        bins,
+        draw(st.integers(-n // 2 + 1, n // 2 - bins)),
+        draw(st.floats(1e-3, 1.0)),
+        draw(st.integers(0, 2**16)),
+    )
+
+
+def test_residual_examples_hold_a_wide_and_an_empty_gate():
+    shapes = []
+    for s_hat, _, band, t_ds in (WIDE_GATE, EMPTY_GATE):
+        op = projections._concentration_operator(s_hat.grid.time_grid, band, Interval(0.0, t_ds))
+        shapes.append(op.e.shape)
+    assert shapes == [(2, 32), (9, 0)]
+
+
+@given(_residual_cases())
+@example(WIDE_GATE)
+@example(EMPTY_GATE)
+def test_integral_equation_residual_is_the_fft_pair_through_the_gate(case):
+    want = _residual_by_fft_pair(*case)
+    assert abs(integral_equation_residual(*case) - want) <= 1e-12 * want
+
+
+def test_integral_equation_residual_makes_no_fft(band, s_w, monkeypatch):
+    s_hat = forward_spectrum(s_w)
+    r = erase(s_w, ErasureModel(window=Interval(0.0, 0.25), source_band=band))
+    r_hat = forward_spectrum(r)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the residual made an FFT")
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    assert integral_equation_residual(s_hat, r_hat, band, 0.25) <= 1e-6
+
+
+def test_integral_equation_residual_rejects_a_band_with_no_bin():
+    # [3/64, 5/64) lies between the bins 0 and 1/8 of SMALL's dual grid
+    s_hat = Spectrum(SMALL.dual, np.ones(SMALL.n, dtype=complex))
+    with pytest.raises(ValueError, match="no frequency bins"):
+        integral_equation_residual(s_hat, s_hat, Interval(1 / 16, 1 / 32), 0.25)
 
 
 def test_sampling_kernels_stay_small_at_scale():

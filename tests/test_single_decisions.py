@@ -118,6 +118,16 @@ def test_intervals_meet_a_grid_by_one_rule_each():
     assert sorted(sites) == [("projections", "_band_mask"), ("projections", "_window_mask")]
 
 
+def test_the_gated_basis_is_built_by_the_operator_alone():
+    # E is built once per (grid, band, window) by the memoised operator; the
+    # solvers, prolate_matrix and the integral-equation residual read op.e
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [(path.stem, fn) for _, fn, _ in _sites(tree, "_gated_exponentials")]
+    assert sites == [("projections", "_concentration_operator")]
+
+
 def test_the_copy_sums_are_one_table_not_a_generator():
     assert not [n for n in ast.walk(_tree(sampling)) if isinstance(n, (ast.Yield, ast.YieldFrom))]
 
