@@ -31,7 +31,9 @@ rank-1 assumption; see :func:`tomography_solve`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -90,6 +92,9 @@ DESIGN_COND_LIMIT = 1e10
 #: design condition number up to which tomography solves its normal
 #: equations; past it, and always when refusing, it solves by SVD
 GRAM_COND_LIMIT = 1e6
+
+#: rows per block of the in-place inverse Cholesky factor
+_CHOLESKY_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,14 +201,24 @@ class TomographyResult:
     ``psd_projected`` reports that the positivity guard fired.  ``solver``
     names the path that fitted the design: ``"gram"`` (refined normal
     equations) or ``"svd"``.
+
+    ``condition_number`` is the design's exact condition number.  The SVD
+    path, and a Gram fit that needed it for the path switch, know it when
+    they return; otherwise ``_condition`` holds the design's phase factors
+    and computes it once, on first read, as sqrt(lmax / lmin) of the
+    rebuilt Gram matrix.
     """
 
     rho: DensityMatrix
-    condition_number: float
     residual: float
     populations_resolved: bool
     psd_projected: bool
     solver: str
+    _condition: Callable[[], float] = field(repr=False)
+
+    @cached_property
+    def condition_number(self) -> float:
+        return self._condition()
 
 
 def _require_finite(**fields):
@@ -400,16 +415,26 @@ def tomography_solve(
     The samples form a t-by-x grid, so each pair's phase factor separates,
     exp(i phi) = U[t, a] V[x, a] with U = exp(-i t (w_j - w_k)) and
     V = exp(2 pi i x (p_j - p_k)), and the design is never built on the
-    main path.  Its Gram matrix comes from the Hadamard products
+    main path.  Its Gram matrix G comes from the Hadamard products
     (U^H U)∘(V^H V) and (U^T U)∘(V^T V); D^T y and the fitted values cost
     O(n_t n_x P) for P pairs; the condition number is sqrt(lmax / lmin)
-    of the Gram matrix.  Up to ``GRAM_COND_LIMIT`` = 1e6 the fit solves
-    these normal equations and takes one step of iterative refinement
-    (the residual y - D sol, formed separably, is solved for a
-    correction), which brings it to the accuracy of the SVD solution.
-    Past 1e6, or when the Gram matrix is not positive definite, it builds
+    of G.  G is overwritten by the inverse of its Cholesky factor,
+    G = L L^T, and up to ``GRAM_COND_LIMIT`` = 1e6 the fit solves the
+    normal equations as L^-T (L^-1 D^T y) and takes two steps of
+    iterative refinement (the residual y - D sol, formed separably, is
+    solved for a correction).  Near the limit the explicit inverse leaves
+    the first solve up to ~1e3 times further from the SVD solution than
+    an LU solve would; the second step brings it back to the SVD's
+    accuracy.  Past 1e6, or when G is not positive definite, it builds
     the dense design and solves by SVD (``np.linalg.lstsq``); ``solver``
     names the path taken.
+
+    The switch needs no eigensolve on the main path: lmax <= ||G||_F and
+    1/lmin <= trace(G^-1) = ||L^-1||_F^2, so the bound
+    sqrt(||G||_F ||L^-1||_F^2) at most 1e6 proves the Gram path.  Only
+    above it does the exact ``eigvalsh`` of a rebuilt G decide.  Otherwise
+    the Gram fit's condition number is computed on the first read of
+    ``condition_number``.
 
     Needs at least M^2 samples.  Only the SVD path refuses: with the list
     of degenerate pairs, when the design's condition number exceeds 1e10
@@ -431,18 +456,15 @@ def tomography_solve(
     dom = om[j] - om[k]
     u = np.exp(-1j * np.outer(t, dom))
     v = np.exp(2j * np.pi * np.outer(x, dpj))
-    gram = _separable_gram(u, v, dp)
-    lam = np.linalg.eigvalsh(gram)
-    cond = float(np.sqrt(lam[-1] / lam[0])) if lam[0] > 0.0 else float("inf")
-    if cond <= GRAM_COND_LIMIT:
+    linv, condition = _gram_factor(u, v, dp)
+    if linv is not None:
         solver = "gram"
-        sol = np.linalg.solve(gram, _separable_rhs(u, v, y, dp))
-        r = y - _separable_fit(u, v, sol, dp)
-        sol += np.linalg.solve(gram, _separable_rhs(u, v, r, dp))
-        residual = float(np.linalg.norm(y - _separable_fit(u, v, sol, dp)))
+        sol, r = np.zeros(linv.shape[0]), y
+        for _ in range(3):  # the solve, then two refinement steps
+            sol += linv.T @ (linv @ _separable_rhs(u, v, r, dp))
+            r = y - _separable_fit(u, v, sol, dp)
+        residual = float(np.linalg.norm(r))
     else:
-        # the dense design is ~2.3x the Gram matrix: never hold both
-        del gram
         solver = "svd"
         design = _dense_design(x, t, dpj, dom, dp)
         sol, _, _, sv = np.linalg.lstsq(design, y.ravel(), rcond=None)
@@ -455,6 +477,7 @@ def tomography_solve(
                 pairs=degenerate,
             )
         residual = float(np.linalg.norm(design @ sol - y.ravel()))
+        condition = partial(float, cond)
     trace = float(sol[0])
     off = np.zeros((m, m), dtype=complex)
     off[j, k] = sol[1::2] + 1j * sol[2::2]
@@ -472,12 +495,64 @@ def tomography_solve(
         psd_projected = True
     return TomographyResult(
         rho=DensityMatrix(p_grid=p, elements=rho_fit, mass=mass, grid=grid),
-        condition_number=cond,
         residual=residual,
         populations_resolved=resolved,
         psd_projected=psd_projected,
         solver=solver,
+        _condition=condition,
     )
+
+
+def _gram_factor(u: np.ndarray, v: np.ndarray, dp: float):
+    """(L^-1, condition) for the Gram path, or (None, None) for the SVD path.
+
+    L is the Cholesky factor of the Gram matrix G = L L^T.  ``condition``
+    returns the design's condition number, sqrt(lmax / lmin) of G: the
+    value this switch computed when its bound did not settle the path,
+    otherwise a deferred ``eigvalsh`` of a rebuilt G.  Only one G-sized
+    array is held at a time.
+    """
+    g = _separable_gram(u, v, dp)
+    fro = np.linalg.norm(g)
+    try:
+        _inverse_cholesky(g)
+    except np.linalg.LinAlgError:
+        return None, None
+    # cond^2 = lmax / lmin <= ||G||_F trace(G^-1) = ||G||_F ||L^-1||_F^2
+    if fro * np.vdot(g, g) <= GRAM_COND_LIMIT**2:
+        return g, partial(_gram_cond, u, v, dp)
+    del g
+    cond = _gram_cond(u, v, dp)
+    if not cond <= GRAM_COND_LIMIT:
+        return None, None
+    g = _separable_gram(u, v, dp)
+    _inverse_cholesky(g)
+    return g, partial(float, cond)
+
+
+def _gram_cond(u: np.ndarray, v: np.ndarray, dp: float) -> float:
+    """sqrt(lmax / lmin) of the Gram matrix, inf unless lmin > 0."""
+    lam = np.linalg.eigvalsh(_separable_gram(u, v, dp))
+    return float(np.sqrt(lam[-1] / lam[0])) if lam[0] > 0.0 else float("inf")
+
+
+def _inverse_cholesky(g: np.ndarray) -> None:
+    """Overwrite the positive definite ``g`` with L^-1, where g = L L^T.
+
+    Blocked by rows (Golub & Van Loan, Matrix Computations, 4.2).  With
+    L^-1[:i, :i] already in the rows above, the next block row of L is
+    x = G[i:j, :i] L^-T[:i, :i].  The Schur block G[i:j, i:j] - x x^T is
+    L22 L22^T, so the block row of L^-1 is [-L22^-1 x L^-1[:i, :i],
+    L22^-1, 0].  LinAlgError when ``g`` is not positive definite.
+    """
+    d = g.shape[0]
+    for i in range(0, d, _CHOLESKY_BLOCK):
+        j = min(i + _CHOLESKY_BLOCK, d)
+        x = g[i:j, :i] @ g[:i, :i].T
+        inv22 = np.tril(np.linalg.inv(np.linalg.cholesky(g[i:j, i:j] - x @ x.T)))
+        g[i:j, :i] = -inv22 @ (x @ g[:i, :i])
+        g[i:j, i:j] = inv22
+        g[i:j, j:] = 0.0
 
 
 def _separable_gram(u: np.ndarray, v: np.ndarray, dp: float) -> np.ndarray:

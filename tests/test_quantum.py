@@ -5,10 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from subgap import projections
+from subgap import experiments, projections, quantum
 from subgap.quantum import DESIGN_COND_LIMIT, GRAM_COND_LIMIT
 from subgap.experiments import run_quantum_pipeline
 from subgap import (
@@ -178,6 +178,33 @@ def test_ratio_within_the_guard_slack_passes_the_pipeline_check(
     report = run_quantum_pipeline(tmp_path / "b")
     assert report["metrics"]["window_probability"] > op.lambda0
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]
+
+
+def test_pipeline_records_a_degenerate_design_as_a_failed_check(monkeypatch, tmp_path):
+    pairs = [((0, 1), (2, 3)), ((1, 2), "trace")]
+    exc = DegenerateDesignError("tomography design condition number 3e12", pairs=pairs)
+
+    def degenerate(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(experiments, "tomography_solve", degenerate)
+    report = run_quantum_pipeline(tmp_path)
+    assert not report["passed"]
+    assert report["artifacts"] == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert failed == [
+        {
+            "name": "tomography_design_well_conditioned",
+            "passed": False,
+            "value": {
+                "error": "tomography design condition number 3e12",
+                "pairs": ["((0, 1), (2, 3))", "((1, 2), 'trace')"],
+            },
+            "threshold": "design condition number below 1e10",
+        }
+    ]
+    assert report["checks"][-1] == failed[0]
 
 
 def test_gate_state_vanishes_on_window_and_spills(qgrid):
@@ -401,6 +428,48 @@ def test_density_rejects_an_empty_grid_with_its_own_message():
 
 
 @pytest.mark.parametrize(
+    "p_grid,elements,message",
+    [
+        ([0.125, 0.25], np.eye(3) / 3.0, r"elements shape \(3, 3\) does not match"),
+        ([[0.125, 0.25]], np.eye(2) / 2.0, r"does not match p_grid size 2"),
+        ([0.125, 0.25], [[0.5, 0.1], [0.2, 0.5]], "not Hermitian"),
+        ([0.125, 0.25], [[0.5, 0.1j], [0.1j, 0.5]], "not Hermitian"),
+    ],
+)
+def test_density_rejects_a_misshapen_or_non_hermitian_matrix(p_grid, elements, message):
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(p_grid=p_grid, elements=elements)
+
+
+def test_density_accepts_rounding_level_asymmetry():
+    # the Hermitian check is relative to the largest entry, at 1e-12
+    e = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
+    DensityMatrix(p_grid=[0.125, 0.25], elements=e)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(p_grid=[0.125, 0.25], elements=e + [[0.0, 0.0], [1e-11, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        (np.zeros((3, 2)), r"values shape \(3, 2\) does not match \(t, x\) = \(2, 3\)"),
+        (np.zeros(6), r"values shape \(6,\) does not match"),
+        (np.full((2, 3), -2e-10), "probability readings must be >= -1e-10"),
+    ],
+)
+def test_evolution_samples_reject_a_misshapen_or_negative_reading(values, message):
+    with pytest.raises(ValueError, match=message):
+        EvolutionSamples(x_points=[0.0, 0.5, 1.0], t_points=[0.0, 1.0], values=values)
+
+
+def test_evolution_samples_allow_rounding_below_zero():
+    samples = EvolutionSamples(
+        x_points=[0.0, 0.5, 1.0], t_points=[0.0, 1.0], values=np.full((2, 3), -1e-10)
+    )
+    assert samples.values.min() == -1e-10
+
+
+@pytest.mark.parametrize(
     "field,p_grid,mass",
     [
         ("p_grid", [0.125, 0.125, 0.25], 1.0),
@@ -526,6 +595,14 @@ def test_rank1_extract_rejects_a_matrix_with_no_positive_eigenvalue(qgrid):
     assert not isinstance(info.value, RefusalError)
 
 
+def test_rank1_extract_needs_a_coordinate_grid(qgrid):
+    rho = build_density(_state(qgrid), P_BAND)
+    gridless = DensityMatrix(p_grid=rho.p_grid, elements=rho.elements)
+    with pytest.raises(ValueError, match="no coordinate grid") as info:
+        rank1_extract(gridless)
+    assert not isinstance(info.value, RefusalError)
+
+
 def test_fidelity_is_phase_free(qgrid):
     psi = _state(qgrid)
     turned = WaveFunction(qgrid, np.exp(0.7j) * psi.values, normalized=True)
@@ -646,6 +723,136 @@ def test_gram_path_never_holds_the_dense_design(qgrid):
         tracemalloc.stop()
     assert fit.solver == "gram"
     assert peak < design_bytes
+
+
+@pytest.mark.parametrize("d", [1, 127, 128, 129, 993])
+def test_inverse_cholesky_matches_the_inverse_of_the_numpy_factor(d):
+    # one block short of, at and past the 128-row block edge, and the
+    # M = 32 design's 993 columns; the scaled columns make cond(G) ~ 3e6
+    rng = np.random.default_rng(d)
+    b = rng.standard_normal((2 * d, d)) * np.logspace(0.0, 3.0, d)
+    g = b.T @ b
+    want = np.linalg.inv(np.linalg.cholesky(g))
+    got = g.copy()
+    quantum._inverse_cholesky(got)
+    # the forward error of an inverse factor, relative to its largest
+    # entry, is at most of order cond(G) eps
+    tol = np.linalg.cond(g) * np.finfo(float).eps
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+    assert np.all(got[np.triu_indices(d, 1)] == 0.0)
+
+
+@pytest.mark.parametrize("bad", [0, 128])
+def test_inverse_cholesky_rejects_a_matrix_that_is_not_positive_definite(bad):
+    # a negative pivot in the first block, and in the block past the edge
+    rng = np.random.default_rng(bad)
+    b = rng.standard_normal((258, 129))
+    g = b.T @ b
+    g[bad, bad] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        quantum._inverse_cholesky(g)
+
+
+#: (M, density seed, sample seed, samples per axis, t_max) of the designs
+#: the path switch is pinned on
+SWITCH_CASES = {
+    "M8": (8, 50, 1050, 12, 500.0),
+    "M16": (16, 51, 1051, 24, 500.0),
+    "M32": (32, 52, 1052, 48, 500.0),
+    "refinement": (16, 320, 1320, 24, 500.0),  # cond 4.5e5
+    "near-limit": (16, 393, 1393, 24, 200.0),  # cond 7.4e5
+    "svd": (8, 35, 36, 16, 40.0),  # cond 1.1e7
+}
+
+
+def _switch_case(qgrid, case):
+    m, seed, point_seed, n, t_max = SWITCH_CASES[case]
+    p_grid = _band_p_grid(qgrid, m)
+    rho = _random_pure_density(qgrid, seed, p_grid=p_grid)
+    xs, ts = _sample_points(qgrid, point_seed, n_x=n, n_t=n, t_max=t_max)
+    return evolve_diagonal_series(rho, xs, ts), p_grid
+
+
+def _factors(samples, p_grid):
+    """The design's phase factors U, V and dp, formed as the fit forms them."""
+    om = p_grid**2 / 2.0
+    j, k = np.triu_indices(p_grid.size, 1)
+    u = np.exp(-1j * np.outer(samples.t_points, om[j] - om[k]))
+    v = np.exp(2j * np.pi * np.outer(samples.x_points, p_grid[j] - p_grid[k]))
+    return u, v, float(np.min(np.diff(p_grid)))
+
+
+def _eigvalsh_cond(u, v, dp):
+    """sqrt(lmax / lmin) from eigvalsh of the Gram matrix, inf unless lmin > 0."""
+    lam = np.linalg.eigvalsh(quantum._separable_gram(u, v, dp))
+    return float(np.sqrt(lam[-1] / lam[0])) if lam[0] > 0.0 else float("inf")
+
+
+@pytest.mark.parametrize("case", SWITCH_CASES)
+def test_gram_path_exactly_when_the_eigvalsh_cond_is_within_the_limit(qgrid, case):
+    samples, p_grid = _switch_case(qgrid, case)
+    cond = _eigvalsh_cond(*_factors(samples, p_grid))
+    fit = tomography_solve(samples, p_grid, grid=qgrid)
+    assert (fit.solver == "gram") == (cond <= GRAM_COND_LIMIT)
+    if fit.solver == "gram":
+        assert fit.condition_number == cond
+
+
+def test_gram_path_near_the_limit_needs_its_second_refinement_step(qgrid):
+    # lstsq itself is good to ~cond eps = 1.6e-10 here.  With the explicit
+    # inverse factor one refinement step leaves the fit 3.4e-9 from it, and
+    # the second brings it to 4e-11 (an LU solve and one step gave 1.2e-10)
+    samples, p_grid = _switch_case(qgrid, "near-limit")
+    fit = tomography_solve(samples, p_grid, grid=qgrid)
+    assert fit.solver == "gram"
+    assert 7e5 <= fit.condition_number <= GRAM_COND_LIMIT
+    _assert_matches_lstsq(fit, samples, 1e-9)
+
+
+@pytest.mark.parametrize("case,during_fit", [("M32", 0), ("refinement", 1)])
+def test_gram_fit_runs_eigvalsh_once_at_most(qgrid, monkeypatch, case, during_fit):
+    # M32's bound proves the Gram path, so the condition number waits for
+    # its first read; the refinement case's bound is above 1e6, so the
+    # switch computes it during the fit
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    samples, p_grid = _switch_case(qgrid, case)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    fit = tomography_solve(samples, p_grid, grid=qgrid)
+    assert fit.solver == "gram"
+    assert len(calls) == during_fit
+    first = fit.condition_number
+    assert fit.condition_number == first
+    assert len(calls) == 1
+
+
+@settings(max_examples=60)
+@given(
+    m=st.integers(2, 8),
+    n_x=st.integers(0, 8),
+    n_t=st.integers(0, 8),
+    t_max=st.sampled_from([5.0, 20.0, 100.0, 500.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frobenius_trace_bound_is_at_least_the_condition_number(
+    qgrid, m, n_x, n_t, t_max, seed
+):
+    # lmax <= ||G||_F and 1/lmin <= trace(G^-1) = ||L^-1||_F^2; past
+    # cond ~1e7, G's own cond nears 1/eps and neither side is accurate
+    xs, ts = _sample_points(qgrid, seed, n_x=m + n_x, n_t=m + n_t, t_max=t_max)
+    samples = EvolutionSamples(xs, ts, np.zeros((ts.size, xs.size)))
+    u, v, dp = _factors(samples, _band_p_grid(qgrid, m))
+    cond = _eigvalsh_cond(u, v, dp)
+    assume(cond <= 10.0 * GRAM_COND_LIMIT)
+    g = quantum._separable_gram(u, v, dp)
+    fro = np.linalg.norm(g)
+    quantum._inverse_cholesky(g)
+    assert np.sqrt(fro * np.vdot(g, g)) >= cond
 
 
 def test_refusal_names_the_pairs_of_the_dense_overlap(qgrid):

@@ -19,6 +19,7 @@ TREE = ast.parse(Path(subgap.quantum.__file__).read_text(encoding="utf-8"))
 LOOPS_ALLOWED = {
     "evolve_diagonal_series",
     "tomography_solve",
+    "_inverse_cholesky",
     "_require_finite",
     "_degenerate_pairs",
 }
