@@ -50,6 +50,11 @@ def _keep_arrays(record, **dtypes):
     return kept
 
 
+def _is_int(value) -> bool:
+    """The one rule of a count: an int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _grid_values(record):
     """Keep ``record.values`` as complex, one value per point of its grid."""
     (vals,) = _keep_arrays(record, values=complex)
@@ -90,7 +95,7 @@ class TimeGrid:
             )
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+        if not _is_int(self.n):
             raise ValueError(f"n must be an integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         if self.n < 2 or self.n % 2 != 0:
@@ -226,6 +231,16 @@ def _ramp(grid: TimeGrid) -> np.ndarray:
     return ramp
 
 
+@functools.lru_cache(maxsize=1)
+def _dft(s: SampledSignal) -> np.ndarray:
+    """The read-only ``np.fft.ifft(s.values)`` of the last signal, the one
+    forward FFT of a signal's values.  Keyed by identity, which cannot go
+    stale: a signal is ``eq=False`` and its values are read-only."""
+    spec = np.fft.ifft(s.values)
+    spec.setflags(write=False)
+    return spec
+
+
 def forward_spectrum(s: SampledSignal) -> Spectrum:
     """Riemann-sum transform s_hat(w_j) = dt * sum_k s(t_k) exp(+2 pi i w_j t_k).
 
@@ -234,11 +249,11 @@ def forward_spectrum(s: SampledSignal) -> Spectrum:
     phase ramp carrying t_start, so the sum is exact to rounding.  The
     ramp's phase w_j t_start is reduced mod 1 before it is scaled by 2 pi,
     so its rounding error does not grow with |w_j t_start|.  The ramp
-    depends on the grid alone and is built once per grid, so a warm call
-    is the FFT and one product.
+    depends on the grid alone and is built once per grid, and the FFT
+    comes from :func:`_dft`, so a warm call is a shift and two products.
     """
     g = s.grid
-    spec = g.dt * g.n * np.fft.fftshift(np.fft.ifft(s.values))
+    spec = g.dt * g.n * np.fft.fftshift(_dft(s))
     return Spectrum(g.dual, spec * _ramp(g))
 
 

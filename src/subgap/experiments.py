@@ -24,7 +24,6 @@ import numpy as np
 from .core import (
     Interval,
     SampledSignal,
-    Spectrum,
     TimeGrid,
     default_grid,
     forward_spectrum,
@@ -78,11 +77,11 @@ from .recovery import (
 )
 from .sampling import (
     SpectralCopyConfig,
-    _copy_sums,
     band_approx_first_term,
     band_interpolate,
     comb_sample,
     periodized_spectrum,
+    spectral_copy_recover,
 )
 
 __all__ = [
@@ -252,18 +251,24 @@ def _copy_errors(checks, s_w, s_hat, band, t_sn, k_max):
 
     Checks that the error decreases strictly in k, and that the sum at the
     full order k = t_sn/(2 dt) equals s_hat on the band to 1e-12 relative;
-    returns the errors and the k_max spectrum.  Every order is a row of
-    one table of in-band copy sums.
+    returns the errors and the k_max spectrum.  Every order shares one FFT
+    of r, and the k_max call runs first, so its guards decide a bad config.
     """
     window = _gap_window(t_sn, t_sn, s_w.grid.dt)
     r = erase(s_w, ErasureModel(window=window, source_band=band))
-    cfg = SpectralCopyConfig(band=band, t_sn=t_sn, t_ds=window.width, k_max=k_max)
-    in_band, table = _copy_sums(r, cfg)
-    want = s_hat.values[in_band]
-    errs = [float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(row - want) ** 2))) for row in table]
-    spectrum = np.zeros_like(s_hat.values)
-    spectrum[in_band] = table[k_max]
-    full_err, errs = errs[-1], errs[: k_max + 1]
+    in_band = _band_mask(s_w.grid, band)
+
+    def copy_sum(k):
+        cfg = SpectralCopyConfig(band=band, t_sn=t_sn, t_ds=window.width, k_max=k)
+        return spectral_copy_recover(r, cfg).spectrum
+
+    def err(spec):
+        diff = spec.values[in_band] - s_hat.values[in_band]
+        return float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(diff) ** 2)))
+
+    spectrum = copy_sum(k_max)
+    errs = [err(copy_sum(k)) for k in range(k_max)] + [err(spectrum)]
+    full_err = err(copy_sum(round(t_sn / s_w.grid.dt) // 2))
     _check(
         checks,
         "copy_sum_error_decreases",
@@ -273,7 +278,7 @@ def _copy_errors(checks, s_w, s_hat, band, t_sn, k_max):
     )
     s_norm = float(np.sqrt(s_hat.grid.dw * np.sum(np.abs(s_hat.values[in_band]) ** 2)))
     _at_most(checks, "copy_sum_exact_at_full_order", full_err / s_norm, 1e-12)
-    return errs, Spectrum(s_hat.grid, spectrum)
+    return errs, spectrum
 
 
 @_experiment(

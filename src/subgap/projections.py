@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Interval, SampledSignal, TimeGrid, _ramp
+from .core import Interval, SampledSignal, TimeGrid, _dft, _ramp
 from .errors import BoundViolationError, NotBandlimitedError
 
 __all__ = [
@@ -66,10 +66,11 @@ def band_project(s: SampledSignal, band: Interval) -> SampledSignal:
 
     The ``t_start`` phase ramps of :func:`forward_spectrum` and
     :func:`inverse_signal` cancel around the diagonal mask, so P_W is one
-    FFT pair with the mask in unshifted bin order.
+    FFT pair with the mask in unshifted bin order, the forward half from
+    the memo :func:`core._dft`.
     """
     keep = np.fft.ifftshift(_band_mask(s.grid, band))
-    return SampledSignal(s.grid, np.fft.fft(np.fft.ifft(s.values) * keep))
+    return SampledSignal(s.grid, np.fft.fft(_dft(s) * keep))
 
 
 def time_gate(s: SampledSignal, window: Interval) -> SampledSignal:
@@ -87,10 +88,11 @@ def complement_gate(s: SampledSignal, window: Interval) -> SampledSignal:
 def out_of_band_fraction(s: SampledSignal, band: Interval) -> float:
     """Relative L2 norm ||s - P_W s|| / ||s|| of the part outside ``band``.
 
-    One inverse FFT and Parseval; 0 for a zero signal, NaN for a non-finite one.
+    One inverse FFT, from :func:`core._dft`, and Parseval; 0 for a zero
+    signal, NaN for a non-finite one.
     """
     keep = np.fft.ifftshift(_band_mask(s.grid, band))
-    power = np.abs(np.fft.ifft(s.values)) ** 2
+    power = np.abs(_dft(s)) ** 2
     total = power.sum()
     if total == 0.0:
         return 0.0
@@ -236,12 +238,12 @@ def concentration_ratio(s: SampledSignal, band: Interval, window: Interval) -> f
     """Conditional-measurement ratio <P_W s, P_T P_W s> / ||P_W s||^2.
 
     The fraction of the bandlimited part's energy inside the window:
-    ||E^H q||^2 / (n ||q||^2), q the in-band bins of one ``ifft`` of s.
+    ||E^H q||^2 / (n ||q||^2), q the in-band bins of :func:`core._dft` of s.
     Rejects non-finite input and input with no in-band energy.  A new
     (grid, band, window) first builds E and lambda0, O(MK min(M, K)).
     """
     op = _concentration_operator(s.grid, band, window)
-    spec = np.fft.ifft(s.values)
+    spec = _dft(s)
     q = spec[op.bins]
     denom = np.vdot(q, q).real
     if not math.isfinite(denom):

@@ -14,10 +14,10 @@ the window, so the solvers work in the exact-phase basis E of the M
 in-band bins and the K gated samples (``projections._gated_exponentials``).
 That basis, lambda0 and A = G/n, the min(M, K) Gram matrix G of E over n,
 are built once per (grid, band, window) and shared by the refusal check
-and all three solvers.  The in-band transform of an erased signal, and
-the right-hand side the series and the direct solve share, are taken once
-per signal: three solves of one signal make one FFT of it between them,
-after the report passes.  A series step is one product with A,
+and all three solvers.  The FFT of an erased signal comes from core's one
+signal memo, ``core._dft``: three solves of one signal make one FFT of it
+between them, after the report passes, and each forms its right-hand
+side from the in-band bins.  A series step is one product with A,
 O(min(M, K)^2) work; below the limit M K <= WT n + M + K, so min(M, K) is
 about sqrt(n) at most.  Each solve then makes at most one FFT back and at
 most two M x K products, neither of which copies E.  Each report stores
@@ -26,13 +26,12 @@ only the values that decide it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Interval, SampledSignal, TimeGrid, _keep_arrays, l2_norm
+from .core import Interval, SampledSignal, TimeGrid, _dft, _is_int, _keep_arrays, l2_norm
 from .errors import RefusalError
 # band_project is unused here but stays bound: perfbench's tracer smoke
 # test checks that wrapping reaches subgap.recovery.band_project
@@ -168,7 +167,10 @@ def invertibility_report(grid: TimeGrid, band: Interval, window: Interval) -> In
 
 def _step_limit(wt: float, tol: float, k_max: int | None) -> int:
     """``k_max``, or by default the steps to ``tol`` at rate sqrt(WT) plus 50;
-    ValueError names ``tol`` unless it is finite and > 0, or 0 with a k_max."""
+    ValueError names ``k_max`` unless it is None or an integer >= 0, not a
+    bool, and ``tol`` unless it is finite and > 0, or 0 with a k_max."""
+    if k_max is not None and not (_is_int(k_max) and k_max >= 0):
+        raise ValueError(f"k_max must be an integer >= 0 or None, got {k_max!r}")
     if not (math.isfinite(tol) and (tol > 0.0 or (tol == 0.0 and k_max is not None))):
         raise ValueError(f"tol must be finite and > 0 (0 only with a k_max), got {tol!r}")
     if k_max is not None:
@@ -186,22 +188,6 @@ def _refusal(report: InvertibilityReport) -> RecoveryReport:
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _transformed(r: SampledSignal, band: Interval, window: Interval):
-    """The one transform of ``r`` per (signal, band, window): (q, c), read-only.
-
-    A signal is keyed by identity (``SampledSignal`` is ``eq=False`` and
-    its values are read-only), so one entry covers three solvers in a row.
-    """
-    op = _concentration_operator(r.grid, band, window)
-    n = r.grid.n
-    q = np.fft.ifft(r.values)[op.bins] * n
-    c = (q.conj() @ op.e).conj() / n if op.on_window else q  # E^H q / n
-    for a in (q, c):
-        a.setflags(write=False)
-    return q, c
-
-
 def _prepared(r: SampledSignal, band: Interval, window: Interval):
     """The refusal check, then the transform of ``r`` that every solve shares.
 
@@ -209,13 +195,17 @@ def _prepared(r: SampledSignal, band: Interval, window: Interval):
     the right-hand side of (I - A) z = c, E^H q / n when K < M (z is the
     window's h) and q otherwise (z is u); None when the report refuses.
     :func:`invertibility_report` decides on every call from the cached
-    lambda0; only a passing report reads q and c, so a refusal makes no FFT.
+    lambda0; only a passing report reads the FFT of r, from
+    :func:`core._dft`, so a refusal makes none.
     """
     op = _concentration_operator(r.grid, band, window)
     report = invertibility_report(r.grid, band, window)
     if not report.invertible:
         return report, op, None, None
-    return (report, op, *_transformed(r, band, window))
+    n = r.grid.n
+    q = _dft(r)[op.bins] * n
+    c = (q.conj() @ op.e).conj() / n if op.on_window else q  # E^H q / n
+    return report, op, q, c
 
 
 def _sq(x: np.ndarray) -> float:

@@ -14,7 +14,9 @@ recovers s_hat, provided r agrees with s at every sample instant (the
 erased gap must sit strictly between samples).  On a grid with t = 0 as a
 grid point the spectrum is periodic, the copies are cyclic shifts, and the
 sum is exact once it reaches k = T/(2 dt): it then equals the periodized
-spectrum of the samples, which is s_hat on the band.
+spectrum of the samples, which is s_hat on the band.  r_hat is
+``forward_spectrum``'s, whose FFT comes from core's one signal memo, so the
+copy sums of every order and the first term of one r share one FFT.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    _is_int,
     _keep_arrays,
     Interval,
     SampledSignal,
@@ -127,10 +130,8 @@ class SpectralCopyConfig:
             )
         if self.t_sn > 1.0 / self.band.width + 1e-12:
             raise ValueError(f"t_sn={self.t_sn} exceeds 1/W={1.0 / self.band.width}")
-        if isinstance(self.k_max, bool) or not isinstance(self.k_max, (int, np.integer)):
-            raise ValueError(f"k_max must be an int, got {self.k_max!r}")
-        if self.k_max < 0:
-            raise ValueError(f"k_max must be >= 0, got {self.k_max}")
+        if not (_is_int(self.k_max) and self.k_max >= 0):
+            raise ValueError(f"k_max must be an integer >= 0, got {self.k_max!r}")
 
 
 @dataclass(frozen=True)
@@ -235,40 +236,6 @@ def periodized_spectrum(c: CombSamples) -> Spectrum:
     return Spectrum(g.dual, c.period * g.n * np.fft.fftshift(np.fft.ifft(comb)))
 
 
-@functools.lru_cache(maxsize=1)
-def _spectrum_of(r: SampledSignal) -> np.ndarray:
-    """The read-only ``forward_spectrum(r).values`` of the last signal, keyed
-    by identity as ``recovery._transformed`` is: the copy sums of every
-    order and the first term of one erased r share its one FFT."""
-    return forward_spectrum(r).values
-
-
-def _copy_sums(r: SampledSignal, cfg: SpectralCopyConfig):
-    """The in-band copy sums of r_hat for k = 0..m // 2, as (mask, table).
-
-    m = t_sn/dt; copy k adds r_hat shifted cyclically by +-k n/m bins (once
-    at 2k = m).  Row k of ``table`` is the sum of order k on the bins
-    ``mask`` keeps: one forward FFT per signal, a gather per shift and one
-    sequential cumsum, about n entries as W <= 1/t_sn.  The guards of
-    :func:`spectral_copy_recover` run first, ``cfg.k_max`` included.
-    """
-    g = r.grid
-    m = _multiple("t_sn", cfg.t_sn, g.dt)
-    _origin(g)
-    if g.n % m:
-        raise ValueError(f"t_sn/dt = {m} does not divide n = {g.n}")
-    if cfg.k_max > m // 2:
-        raise ValueError(f"k_max = {cfg.k_max} exceeds t_sn/(2 dt) = {m // 2}, the exact order")
-    keep = _band_mask(g, cfg.band)
-    rhat = _spectrum_of(r)
-    bins = np.flatnonzero(keep)
-    shifts = np.arange(1, m // 2 + 1)[:, None] * (g.n // m)
-    copies = rhat.take(bins - shifts, mode="wrap") + rhat.take(bins + shifts, mode="wrap")
-    if m % 2 == 0:
-        copies[-1] = rhat.take(bins - shifts[-1], mode="wrap")
-    return keep, np.cumsum(np.vstack([rhat[bins], copies]), axis=0)
-
-
 def spectral_copy_recover(r: SampledSignal, cfg: SpectralCopyConfig) -> SpectralCopyResult:
     """Fold periodized copies of the observed spectrum back into the band.
 
@@ -279,12 +246,29 @@ def spectral_copy_recover(r: SampledSignal, cfg: SpectralCopyConfig) -> Spectral
     particular for a gap erased strictly between two samples; at k_max =
     m // 2 the sum is their periodized spectrum, exact on the band.
     ValueError unless m is an integer dividing n, t = 0 is a grid point
-    and k_max <= m // 2, past which the copies only repeat.
+    and k_max <= m // 2, past which the copies only repeat.  Each shift up
+    to k_max is gathered on the band's bins alone and added in order of k.
     """
-    keep, table = _copy_sums(r, cfg)
-    acc = np.zeros(r.grid.n, dtype=complex)
-    acc[keep] = table[cfg.k_max]
-    return SpectralCopyResult(spectrum=Spectrum(r.grid.dual, acc), k_used=cfg.k_max)
+    g = r.grid
+    m = _multiple("t_sn", cfg.t_sn, g.dt)
+    _origin(g)
+    if g.n % m:
+        raise ValueError(f"t_sn/dt = {m} does not divide n = {g.n}")
+    if cfg.k_max > m // 2:
+        raise ValueError(f"k_max = {cfg.k_max} exceeds t_sn/(2 dt) = {m // 2}, the exact order")
+    keep = _band_mask(g, cfg.band)
+    rhat = forward_spectrum(r).values
+    bins = np.flatnonzero(keep)
+    total = rhat[bins]
+    for k in range(1, cfg.k_max + 1):
+        shift = k * (g.n // m)
+        copies = rhat.take(bins - shift, mode="wrap")
+        if 2 * k < m:
+            copies = copies + rhat.take(bins + shift, mode="wrap")
+        total += copies
+    acc = np.zeros(g.n, dtype=complex)
+    acc[keep] = total
+    return SpectralCopyResult(spectrum=Spectrum(g.dual, acc), k_used=cfg.k_max)
 
 
 def band_approx_first_term(r: SampledSignal, band: Interval, t_ds: float) -> BandApproxResult:
@@ -301,7 +285,7 @@ def band_approx_first_term(r: SampledSignal, band: Interval, t_ds: float) -> Ban
     if not (math.isfinite(t_ds) and t_ds > 0):
         raise ValueError(f"t_ds must be finite and > 0, got {t_ds}")
     keep = _band_mask(r.grid, band)
-    rhat = _spectrum_of(r)
+    rhat = forward_spectrum(r).values
     vals = np.where(keep, rhat, 0.0)
     wt = band.width * t_ds
     integral = float(np.real(r.grid.dual.dw * np.sum(rhat[keep])))

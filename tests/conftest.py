@@ -10,7 +10,7 @@ from subgap import (
     default_grid,
     make_demo_signal,
 )
-from subgap import recovery, sampling
+from subgap import core
 
 # property tests draw the same examples on every run
 settings.register_profile("subgap", derandomize=True, deadline=None)
@@ -18,12 +18,11 @@ settings.load_profile("subgap")
 
 
 @pytest.fixture(autouse=True)
-def _cold_signal_memos():
-    # these memos are keyed on a signal's identity: without a clear, an
-    # entry for the session-scoped s_w would carry from one test into the
-    # next and make the FFT counts depend on test order
-    recovery._transformed.cache_clear()
-    sampling._spectrum_of.cache_clear()
+def _cold_signal_memo():
+    # the memo is keyed on a signal's identity: without a clear, an entry
+    # for the session-scoped s_w would carry from one test into the next
+    # and make the FFT counts depend on test order
+    core._dft.cache_clear()
 
 
 @pytest.fixture(scope="session")

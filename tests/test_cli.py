@@ -243,6 +243,17 @@ def test_bad_grid_is_named():
         validate_config(cfg)
 
 
+def test_grid_the_core_rejects_is_named_and_exits_2(tmp_path, capsys):
+    # each field passes its schema, but the span n * step overflows, so
+    # TimeGrid rejects the grid and the config names it
+    cfg = dict(MINIMAL["recovery"], grid={"start": 0.0, "step": 1e308, "n": 4})
+    with pytest.raises(ConfigError, match="`grid`: .*overflows"):
+        validate_config(cfg)
+    assert _run_cfg(tmp_path, cfg) == 2
+    assert capsys.readouterr().err.startswith("error: invalid config: field `grid`")
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_must_be_an_object():
     with pytest.raises(ConfigError):
         validate_config([1, 2, 3])

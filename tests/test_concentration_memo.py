@@ -3,8 +3,8 @@ transform per erased signal.
 
 The refusal check, the three gap solvers, ``operator_norm_sq``,
 ``prolate_matrix`` and the concentration ratios all read E and lambda0
-from one memoised record, and the three solvers read the in-band
-transform of a signal from a second memo keyed on that signal.  These
+from one memoised record, and the three solvers read the FFT of a
+signal from core's one signal memo, keyed on that signal.  These
 tests count the uncached builds, transforms and Gram products behind
 them, check that neither memo can carry state from one call into the
 next, and walk the package's syntax tree so E can only be built in one
@@ -26,14 +26,21 @@ from subgap import (
     Interval,
     RefusalError,
     SampledSignal,
+    SpectralCopyConfig,
     TimeGrid,
+    band_approx_first_term,
+    band_project,
+    concentration_ratio,
     erase,
+    forward_spectrum,
     invertibility_report,
+    out_of_band_fraction,
     recover_band_neumann,
     recover_direct,
     recover_neumann,
+    spectral_copy_recover,
 )
-from subgap import projections, recovery
+from subgap import core, projections, recovery
 from subgap.experiments import EXPERIMENTS
 
 #: one window with K < M (the Woodbury branch of the direct solve) and one
@@ -143,9 +150,9 @@ def transforms(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", counted)
-    recovery._transformed.cache_clear()
+    core._dft.cache_clear()
     yield calls
-    recovery._transformed.cache_clear()
+    core._dft.cache_clear()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -179,8 +186,10 @@ def test_memoised_signal_and_transform_are_read_only(random_bandlimited, case):
     band, window = CASES[case]
     r = _erased(random_bandlimited, band, window)
     recover_neumann(r, band, window)
-    q, c = recovery._transformed(r, band, window)
-    for array in (r.values, q, c):
+    misses = core._dft.cache_info().misses
+    spec = core._dft(r)  # the entry the solve left
+    assert core._dft.cache_info().misses == misses
+    for array in (r.values, spec):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -188,8 +197,8 @@ def test_memoised_signal_and_transform_are_read_only(random_bandlimited, case):
 def test_refusal_margin_is_applied_on_a_warm_signal_memo(
     transforms, grid, random_bandlimited, monkeypatch
 ):
-    # the memo holds q and c, not the decision: a margin raised after a
-    # solve refuses the same signal, and the refusal makes no FFT
+    # the memo holds the FFT of r, not the decision: a margin raised after
+    # a solve refuses the same signal, and the refusal makes no FFT
     band, window = CASES["K<M"]
     r = _erased(random_bandlimited, band, window)
     transforms.clear()
@@ -201,7 +210,7 @@ def test_refusal_margin_is_applied_on_a_warm_signal_memo(
         assert solver(r, band, window).refused
     with pytest.raises(RefusalError):
         recover_direct(r, band, window)
-    recovery._transformed.cache_clear()
+    core._dft.cache_clear()
     assert recover_band_neumann(r, band, window).refused
     assert len(transforms) == 1
 
@@ -334,3 +343,70 @@ def test_gram_top_eigenvalue_obeys_the_exact_grid_bounds(case):
         assert op.lambda0 >= 1.0 - 1e-12
     elif (m - 1) * (k - 1) < n:
         assert op.lambda0 < 1.0 - 1e-12
+
+
+#: a gap strictly between the comb instants 0 and 1/4 of the copy sums, at
+#: WT < 1 for the solvers
+GAP = Interval(0.125, 0.25 - 1.0 / 64)
+
+
+def _solved(solver):
+    def run(r, band):
+        rec = solver(r, band, GAP)
+        if isinstance(rec, SampledSignal):
+            return [rec.values]
+        return [rec.recovered.values, rec.residual_history]
+
+    return run
+
+
+def _first_term(r, band):
+    out = band_approx_first_term(r, band, GAP.width)
+    return [out.approx.values, out.predicted_offset]
+
+
+#: every reader of core._dft, each with the arrays and numbers it returns
+CONSUMERS = {
+    "forward_spectrum": lambda r, band: [forward_spectrum(r).values],
+    "band_project": lambda r, band: [band_project(r, band).values],
+    "out_of_band_fraction": lambda r, band: [out_of_band_fraction(r, band)],
+    "concentration_ratio": lambda r, band: [
+        concentration_ratio(r, band, Interval(-1.0, 2.0))
+    ],
+    **{solver.__name__: _solved(solver) for solver in SOLVERS},
+    "spectral_copy_recover": lambda r, band: [
+        spectral_copy_recover(
+            r, SpectralCopyConfig(band=band, t_sn=0.25, t_ds=GAP.width, k_max=3)
+        ).spectrum.values
+    ],
+    "band_approx_first_term": _first_term,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSUMERS))
+def test_every_reader_of_the_signal_memo_is_bitwise_the_same_cold_warm_and_evicted(
+    transforms, band, s_w, name
+):
+    # one ifft of r when the memo is cold or holds another signal, none when
+    # it holds r, and the same bytes out each time
+    r = erase(s_w, ErasureModel(window=GAP, source_band=band))
+    run = CONSUMERS[name]
+    outputs, counts = [], []
+    for before in (core._dft.cache_clear, lambda: None, lambda: core._dft(s_w)):
+        before()
+        transforms.clear()
+        outputs.append([np.asarray(x).tobytes() for x in run(r, band)])
+        counts.append(len(transforms))
+    assert counts == [1, 0, 1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_erasing_a_signal_then_taking_its_spectrum_is_one_transform(
+    band, s_w, monkeypatch
+):
+    # the bandlimit check of erase() leaves s in the memo for forward_spectrum
+    calls, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda x: calls.append(x) or ifft(x))
+    erase(s_w, ErasureModel(window=GAP, source_band=band))
+    forward_spectrum(s_w)
+    assert len(calls) == 1 and calls[0] is s_w.values

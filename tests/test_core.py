@@ -1,6 +1,7 @@
 """Grids, transforms, norms: the numerical foundation everything sits on."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,17 @@ def test_grid_stores_a_numpy_length_as_int():
     assert type(g.n) is int
     assert g == TimeGrid(-32.0, 1.0 / 64, 4096)
     assert hash(g) == hash(TimeGrid(-32.0, 1.0 / 64, 4096))
+
+
+@pytest.mark.parametrize("record", [SampledSignal, Spectrum])
+@pytest.mark.parametrize("shape", [(63,), (65,), (8, 8)])
+def test_values_must_hold_one_value_per_grid_point(record, shape):
+    grid = TimeGrid(0.0, 0.1, 64)
+    where = grid if record is SampledSignal else grid.dual
+    message = re.escape(f"values shape {shape} does not match grid n=64")
+    with pytest.raises(ValueError, match=message):
+        record(where, np.zeros(shape))
+
 
 @pytest.mark.parametrize(
     "make",

@@ -304,6 +304,14 @@ def test_ratios_read_the_cached_operator(grid, band, s_w, monkeypatch):
     assert calls == ["ifft"]
 
 
+def test_segment_compatibility_rejects_a_segment_with_no_energy(grid, band, s_w):
+    # a window holding only zeros has no in-band fraction to report
+    window = Interval(0.0, 0.25)
+    r = complement_gate(s_w, window)
+    with pytest.raises(ValueError, match="no energy inside the window"):
+        segment_compatibility(r, window, band)
+
+
 # every public function that takes a band, called with a band on the default
 # grid; each must meet the band with the one Nyquist-checked mask
 TAKES_A_BAND = {

@@ -29,7 +29,7 @@ from subgap import (
     recover_state,
     time_gate,
 )
-from subgap import recovery
+from subgap import core, recovery
 from subgap.experiments import run_stability
 
 WINDOW = Interval(0.0, 0.25)  # WT = 0.5 with the W = 2 band
@@ -182,12 +182,16 @@ def test_lambda0_margin_refuses_below_wt_one():
 @pytest.mark.parametrize(
     "tol,k_max",
     [(0.0, None), (-1e-10, None), (np.nan, None), (np.inf, None), (-np.inf, None)]
-    + [(np.nan, 5), (np.inf, 5), (-1e-10, 5)],
+    + [(np.nan, 5), (np.inf, 5), (-1e-10, 5)]
+    + [(1e-10, -3), (1e-10, True), (1e-10, 2.5)],
 )
 def test_series_solvers_reject_a_bad_tol(grid, band, s_w, tol, k_max):
     # without a k_max these died in the default step count with a math
     # domain error, a NaN conversion or an OverflowError; with one, a NaN
-    # tol silently ran all k_max steps.  tol = 0 is allowed with a k_max
+    # tol silently ran all k_max steps.  tol = 0 is allowed with a k_max.
+    # A k_max of -3 returned r unrecovered, True ran one step and 2.5
+    # raised TypeError; None and 5 are the valid ones
+    message = "tol must be finite" if k_max in (None, 5) else "k_max must be an integer"
     r = _erased(s_w, band)
     psi = WaveFunction(grid, np.conj(s_w.values))
     windows = PhaseSpaceWindows(x_window=WINDOW, p_band=band)
@@ -197,7 +201,7 @@ def test_series_solvers_reject_a_bad_tol(grid, band, s_w, tol, k_max):
         lambda: recover_state(psi, windows, tol, k_max),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="tol must be finite"):
+        with pytest.raises(ValueError, match=message):
             call()
 
 
@@ -436,7 +440,7 @@ def test_series_steps_make_no_fft(grid, band, s_w, monkeypatch):
     # on it make one ifft between them, the band variant and the direct
     # solve one fft back each; a longer series then adds no FFT at all
     r = _erased(s_w, band)
-    recovery._transformed.cache_clear()
+    core._dft.cache_clear()
     calls = []
     for name in ("fft", "ifft"):
         real = getattr(np.fft, name)

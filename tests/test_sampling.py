@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from subgap import (
     CombSamples,
     ErasureModel,
+    GridMismatchError,
     Interval,
     SampledSignal,
     SpectralCopyConfig,
@@ -32,7 +33,7 @@ from subgap import (
     spectral_copy_recover,
     time_gate,
 )
-from subgap import experiments, projections, sampling
+from subgap import core, experiments, projections
 
 T_SN = 0.25
 
@@ -136,13 +137,13 @@ def test_copy_errors_read_every_order_from_one_transform(grid, band, s_w, monkey
         ).spectrum
         for k in range(4)
     ]
-    calls = []
-    monkeypatch.setattr(
-        sampling, "forward_spectrum", lambda x: calls.append(x) or forward_spectrum(x)
-    )
+    calls, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda x: calls.append(x) or ifft(x))
     checks = []
     errs, spectrum = experiments._copy_errors(checks, s_w, s_hat, band, T_SN, 3)
-    assert len(calls) == 1
+    # the erasure's bandlimit check transforms s_w, and all k_max + 2 copy
+    # sums share the one transform of the run's r
+    assert len(calls) == 2 and calls[0] is s_w.values and calls[1] is not s_w.values
     assert errs == [_band_l2(spec.values, s_hat, keep) for spec in sums]
     assert np.array_equal(spectrum.values, sums[3].values)
     assert [c["name"] for c in checks if c["passed"]] == [
@@ -155,7 +156,7 @@ def test_copy_sums_and_first_term_share_one_transform_of_r(grid, band, s_w, monk
     r = erase(s_w, ErasureModel(window=window, source_band=band))
     calls, ifft = [], np.fft.ifft
     monkeypatch.setattr(np.fft, "ifft", lambda *a, **kw: calls.append(a) or ifft(*a, **kw))
-    for k in range(4):
+    for k in range(9):  # every order up to the full one, T_SN/(2 dt) = 8
         cfg = SpectralCopyConfig(band=band, t_sn=T_SN, t_ds=window.width, k_max=k)
         spectral_copy_recover(r, cfg)
     band_approx_first_term(r, band, window.width)
@@ -174,18 +175,18 @@ def test_copy_sums_after_an_eviction_equal_the_cold_call(grid, band, s_w):
         )
 
     cold = outputs()
-    sampling._spectrum_of(s_w)  # the one entry now holds another signal
-    misses = sampling._spectrum_of.cache_info().misses
+    core._dft(s_w)  # the one entry now holds another signal
+    misses = core._dft.cache_info().misses
     evicted = outputs()
-    assert sampling._spectrum_of.cache_info().misses == misses + 1
+    assert core._dft.cache_info().misses == misses + 1
     for a, b in zip(cold, evicted):
         assert np.array_equal(a, b)
 
 
 def test_spectrum_memo_is_the_transform_and_read_only(s_w):
-    vals = sampling._spectrum_of(s_w)
-    assert vals.tobytes() == forward_spectrum(s_w).values.tobytes()
-    assert sampling._spectrum_of(s_w) is vals
+    vals = core._dft(s_w)
+    assert vals.tobytes() == np.fft.ifft(s_w.values).tobytes()
+    assert core._dft(s_w) is vals
     assert not vals.flags.writeable
 
 
@@ -387,6 +388,16 @@ def test_integral_equation_residual_flags_mismatch(grid, band, s_w):
     s_hat = forward_spectrum(s_w)
     resid = integral_equation_residual(s_hat, s_hat, band, t_ds)
     assert resid >= 1e-3
+
+
+def test_integral_equation_residual_rejects_spectra_on_two_grids(grid, band, s_w):
+    other = TimeGrid(grid.t_start, grid.dt, grid.n // 2)
+    s_hat = forward_spectrum(s_w)
+    r_hat = Spectrum(other.dual, np.zeros(other.n))
+    with pytest.raises(GridMismatchError, match="different grids"):
+        integral_equation_residual(s_hat, r_hat, band, 0.25)
+    with pytest.raises(GridMismatchError, match="different grids"):
+        integral_equation_residual(r_hat, s_hat, band, 0.25)
 
 
 # -- the FFT kernels against direct evaluation of their defining sums ------

@@ -98,7 +98,7 @@ def test_t_zero_on_the_grid_is_decided_by_one_helper():
     ]
     assert on_t_start == ["_origin"]
     callers = sorted(fn for _, fn, _ in _sites(tree, "_origin"))
-    assert callers == ["_copy_sums", "comb_sample", "sinc_reconstruct"]
+    assert callers == ["comb_sample", "sinc_reconstruct", "spectral_copy_recover"]
 
 
 def test_intervals_meet_a_grid_by_one_rule_each():
@@ -266,13 +266,47 @@ def test_arrays_are_frozen_by_core_or_in_a_memo():
 
     sites = [site for path in SOURCES for site in _owned(path, freezes)]
     assert sorted(sites) == [
+        ("core", "_dft"),
         ("core", "_keep_arrays"),
         ("core", "_ramp"),
         ("projections", "_concentration_operator"),
         ("projections", "_roots_of_unity"),
-        ("recovery", "_transformed"),
         ("sampling", "_sinc_kernel"),
     ]
+
+
+def test_a_signal_is_transformed_in_one_memo():
+    # every forward FFT of a signal's values is core._dft's, and no other
+    # memo is keyed on a record that hashes by identity, as a signal does
+    def transforms_values(node):
+        return (
+            isinstance(node, ast.Call)
+            and "ifft" in _names(node.func)
+            and any(isinstance(a, ast.Attribute) and a.attr == "values" for a in node.args)
+        )
+
+    sites = [site for path in SOURCES for site in _owned(path, transforms_values)]
+    assert sites == [("core", "_dft")]
+
+    by_identity = {
+        name
+        for module in (core, projections, recovery, sampling, quantum)
+        for name, cls in vars(module).items()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and cls.__eq__ is object.__eq__
+    }
+    assert {"SampledSignal", "Spectrum", "WaveFunction"} <= by_identity
+    keyed = []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and "lru_cache" in {
+                name for d in fn.decorator_list for name in _names(d)
+            }:
+                args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                assert all(a.annotation is not None for a in args), fn.name
+                if any(_names(a.annotation) & by_identity for a in args):
+                    keyed.append((path.stem, fn.name))
+    assert keyed == [("core", "_dft")]
 
 
 def test_states_are_normalized_by_one_helper():
