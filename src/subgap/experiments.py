@@ -724,15 +724,12 @@ def run_quantum_pipeline(
     fit_err = _sup(fit.rho.elements - rho_true.elements)
     evals = np.linalg.eigvalsh(fit.rho.elements)
     rank_gap = float(evals[-1] - evals[-2])
-    psi_extract = rank1_extract(fit.rho)
-    extract_fid = fidelity(psi_extract, psi_t)
     metrics.update(
         {
             "tomography_error": fit_err,
             "condition_number": fit.condition_number,
             "residual": fit.residual,
             "rank_gap": rank_gap,
-            "extract_fidelity": extract_fid,
             "populations_resolved": fit.populations_resolved,
             "psd_projected": fit.psd_projected,
         }
@@ -741,6 +738,10 @@ def run_quantum_pipeline(
     cond = fit.condition_number
     _at_most(checks, "tomography_design_well_conditioned", cond, DESIGN_COND_LIMIT)
     _at_most(checks, "fitted_matrix_rank1", float(evals[-2]), RANK1_TOL)
+    if not checks[-1]["passed"]:  # rank1_extract would refuse this fit
+        return checks, metrics, []
+    psi_extract = rank1_extract(fit.rho)
+    metrics["extract_fidelity"] = fidelity(psi_extract, psi_t)
     try:
         psi_rec = recover_state(psi_extract, windows)
     except RefusalError as exc:

@@ -28,7 +28,6 @@ __all__ = [
     "smear_response",
     "concentration_ratio",
     "prolate_matrix",
-    "prolate_eigenvalues",
     "operator_norm_sq",
     "band_spill_ratio",
     "segment_compatibility",
@@ -204,11 +203,6 @@ def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarr
     op = _concentration_operator(grid, band, window)
     f = _ramp(grid)[_band_mask(grid, band), None] * op.e
     return (f @ f.conj().T) / grid.n
-
-
-def prolate_eigenvalues(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
-    """All eigenvalues of the in-band concentration matrix, descending."""
-    return np.linalg.eigvalsh(prolate_matrix(grid, band, window))[::-1]
 
 
 def operator_norm_sq(grid: TimeGrid, band: Interval, window: Interval) -> float:

@@ -12,12 +12,13 @@ recovered whenever XP < 1:
   (1 - P_P P_X P_P)^{-1} P_P psi_M up to normalization.
 
 Only the kernel's sign differs from the signal side, so each momentum-side
-operator is the conjugate of a signal-side one: momentum_spectrum(psi) =
+operator is the conjugate of a signal-side one, applied to the state's twin
+conj psi (built once per state): momentum_spectrum(psi) =
 conj(forward_spectrum(conj psi)), P_P = conj P_W conj and P_X = P_T.  The
-transform pair, the norm, the projectors (P_X is :func:`time_gate`), the
-concentration bound, the refusal policy and the Neumann series thus exist
-once; :func:`recover_state` raises NonConvergenceError when the series
-stops short of its tolerance.
+transform pair, the inner product, the norm, the projectors (P_X is
+:func:`time_gate`), the concentration bound, the refusal policy and the
+Neumann series thus exist once; :func:`recover_state` raises
+NonConvergenceError when the series stops short of its tolerance.
 
 The smoothed state is observable through free evolution: the coordinate
 diagonal rho(x, t) of exp(-iHt) rho exp(+iHt), H = p^2/2m, exposes each
@@ -44,13 +45,13 @@ from .core import (
     Spectrum,
     TimeGrid,
     forward_spectrum,
+    inner_product,
     inverse_signal,
     l2_norm,
 )
 from .errors import (
     BoundViolationError,
     DegenerateDesignError,
-    GridMismatchError,
     NonConvergenceError,
     RefusalError,
 )
@@ -113,6 +114,11 @@ class WaveFunction(SampledSignal):
             nrm = l2_norm(self)
             if not abs(nrm - 1.0) <= 1e-12:
                 raise ValueError(f"flagged normalized but ||psi|| = {nrm!r}")
+
+    @cached_property
+    def _twin(self) -> SampledSignal:
+        """conj psi, built once; the momentum side hands it to the signal side."""
+        return _conj(self)
 
 
 @dataclass(frozen=True)
@@ -259,32 +265,30 @@ def momentum_spectrum(psi: WaveFunction) -> Spectrum:
 
     The conjugate of :func:`forward_spectrum`: conj(forward_spectrum(conj psi)).
     """
-    return _conj(forward_spectrum(_conj(psi)), Spectrum)
+    return _conj(forward_spectrum(psi._twin), Spectrum)
 
 
 def position_wave(spec: Spectrum) -> WaveFunction:
     """Inverse of :func:`momentum_spectrum`: psi(x) = dp * sum_p psi_hat exp(+2 pi i p x)."""
-    s = inverse_signal(_conj(spec, Spectrum))
-    return WaveFunction(s.grid, np.conj(s.values))
+    return _conj(inverse_signal(_conj(spec, Spectrum)), WaveFunction)
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:
     """|<a|b>| / (||a|| ||b||): overlap magnitude, phase-free.
 
-    ValueError when either state has norm 0.
+    The overlap is :func:`inner_product`, so states on different grids
+    raise GridMismatchError; ValueError when either state has norm 0.
     """
-    if a.grid != b.grid:
-        raise GridMismatchError("wavefunctions live on different grids")
+    overlap = abs(inner_product(a, b))
     na, nb = l2_norm(a), l2_norm(b)
     if not (na > 0.0 and nb > 0.0):
         raise ValueError(f"fidelity needs two nonzero states, got norms {na}, {nb}")
-    num = abs(a.grid.dt * np.vdot(a.values, b.values))
-    return float(num / (na * nb))
+    return overlap / (na * nb)
 
 
 def momentum_limit(psi: WaveFunction, band: Interval) -> WaveFunction:
     """Apply P_P: zero momentum components outside ``band`` (conj P_W conj)."""
-    return _conj(band_project(_conj(psi), band), WaveFunction)
+    return _conj(band_project(psi._twin, band), WaveFunction)
 
 
 def landau_pollak_ratio(psi: WaveFunction, windows: PhaseSpaceWindows) -> float:
@@ -295,7 +299,7 @@ def landau_pollak_ratio(psi: WaveFunction, windows: PhaseSpaceWindows) -> float:
     uncertainty limit allows.  The signal-side :func:`concentration_ratio`
     of conj psi, which raises :class:`BoundViolationError` past lambda0.
     """
-    return concentration_ratio(_conj(psi), windows.p_band, windows.x_window)
+    return concentration_ratio(psi._twin, windows.p_band, windows.x_window)
 
 
 def gate_state(psi_p: WaveFunction, windows: PhaseSpaceWindows) -> WaveFunction:
@@ -305,7 +309,7 @@ def gate_state(psi_p: WaveFunction, windows: PhaseSpaceWindows) -> WaveFunction:
     on [X] and, by the spill bound, carries momentum outside [P]: the gap
     spoils the momentum limit.
     """
-    _require_bandlimited(_conj(psi_p), windows.p_band, "state (in momentum)")
+    _require_bandlimited(psi_p._twin, windows.p_band, "state (in momentum)")
     gated = complement_gate(psi_p, windows.x_window)
     return _normalized(gated, "gating removed the entire state")
 
@@ -341,7 +345,7 @@ def recover_state(
     report = invertibility_report(psi_m_projected.grid, windows.p_band, windows.x_window)
     report._require("state recovery")
     rep = recover_band_neumann(
-        _conj(psi_m_projected), windows.p_band, windows.x_window, tol, k_max
+        psi_m_projected._twin, windows.p_band, windows.x_window, tol, k_max
     )
     if not rep.converged:
         raise NonConvergenceError(f"state recovery stopped: {rep.reason}")
@@ -352,9 +356,9 @@ def build_density(psi: WaveFunction, band: Interval) -> DensityMatrix:
     """Rank-1 density matrix of ``psi`` on the momentum bins inside ``band``.
 
     The state must be momentum-limited to the band; coefficients are
-    normalized so the trace is exactly 1.
+    normalized so the trace is exactly 1.  The guard's FFT of the twin is reused.
     """
-    _require_bandlimited(_conj(psi), band, "state (in momentum)")
+    _require_bandlimited(psi._twin, band, "state (in momentum)")
     spec = momentum_spectrum(psi)
     keep = _band_mask(psi.grid, band)
     p_grid = spec.grid.frequencies[keep]

@@ -86,8 +86,8 @@ def _origin(grid: TimeGrid) -> int:
 class CombSamples:
     """Samples {k*period: values[k]} read off a dense grid.
 
-    ``offsets`` are the integers k; the source grid is kept so spectra and
-    interpolants can be rebuilt on it without re-specifying geometry.
+    ``offsets`` are int64 integers k (else ValueError); the source grid is kept
+    so spectra and interpolants can be rebuilt without re-specifying geometry.
     """
 
     grid: TimeGrid
@@ -98,6 +98,9 @@ class CombSamples:
     def __post_init__(self):
         if not (math.isfinite(self.period) and self.period > 0):
             raise ValueError(f"period must be finite and > 0, got {self.period}")
+        given = np.asarray(self.offsets, dtype=float)
+        if not np.all((np.abs(given) < 2.0**63) & (given == np.trunc(given))):
+            raise ValueError("offsets must be integers of magnitude below 2**63")
         offsets, values = _keep_arrays(self, offsets=int, values=complex)
         if offsets.shape != values.shape or offsets.ndim != 1:
             raise ValueError("offsets and values must be 1-d and equally long")

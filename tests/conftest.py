@@ -25,6 +25,22 @@ def _cold_signal_memo():
     core._dft.cache_clear()
 
 
+@pytest.fixture
+def transforms(monkeypatch):
+    """Inverse FFTs, counted from a cold signal memo."""
+    calls = []
+    real = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    core._dft.cache_clear()
+    yield calls
+    core._dft.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def grid():
     return default_grid()

@@ -139,22 +139,6 @@ def test_refusal_margin_is_applied_on_every_call(
     assert len(builds) == 1
 
 
-@pytest.fixture
-def transforms(monkeypatch):
-    """Inverse FFTs, counted from a cold signal memo."""
-    calls = []
-    real = np.fft.ifft
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "ifft", counted)
-    core._dft.cache_clear()
-    yield calls
-    core._dft.cache_clear()
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_signal_memo_carries_no_state_between_calls(
     transforms, random_bandlimited, case

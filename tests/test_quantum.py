@@ -31,6 +31,7 @@ from subgap import (
     evolve_diagonal_series,
     fidelity,
     gate_state,
+    inner_product,
     invertibility_report,
     landau_pollak_ratio,
     momentum_limit,
@@ -205,6 +206,72 @@ def test_pipeline_records_a_degenerate_design_as_a_failed_check(monkeypatch, tmp
         }
     ]
     assert report["checks"][-1] == failed[0]
+
+
+def test_pipeline_records_a_fit_that_is_not_rank_1_as_a_failed_check(
+    monkeypatch, tmp_path
+):
+    # rank1_extract refuses such a fit, and used to be called before the
+    # rank-1 check was recorded: the refusal escaped the runner
+    passing = [c["name"] for c in run_quantum_pipeline(tmp_path / "a")["checks"]]
+    solve = experiments.tomography_solve
+
+    def mixed(*args, **kwargs):
+        fit = solve(*args, **kwargs)
+        m = fit.rho.p_grid.size
+        elements = 0.9 * fit.rho.elements + 0.1 * np.eye(m) / m
+        rho = dataclasses.replace(fit.rho, elements=elements)
+        return dataclasses.replace(fit, rho=rho)
+
+    monkeypatch.setattr(experiments, "tomography_solve", mixed)
+    out = tmp_path / "b"
+    report = run_quantum_pipeline(out)
+    assert not report["passed"]
+    assert report["artifacts"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+    names = [c["name"] for c in report["checks"]]
+    assert names == passing[: passing.index("fitted_matrix_rank1") + 1]
+    rank1 = report["checks"][-1]
+    assert not rank1["passed"] and rank1["value"] > quantum.RANK1_TOL
+    assert "extract_fidelity" not in report["metrics"]
+
+
+def test_pipeline_transforms_each_state_once(transforms, tmp_path):
+    # the input's smoothing, its ratio and gate guard, the gated state's
+    # smoothing, the density's guard and spectrum, and the recovery: each
+    # of the 5 states is transformed once, through its twin
+    assert run_quantum_pipeline(tmp_path)["passed"]
+    assert len(transforms) == 5
+
+
+def test_gate_to_recover_transforms_each_state_once(qgrid, transforms):
+    windows = PhaseSpaceWindows(Interval(0.0, 0.5), P_BAND)
+    psi = _state(qgrid)
+    transforms.clear()
+    psi_t = momentum_smooth(gate_state(psi, windows), windows)
+    rho = build_density(psi_t, P_BAND)
+    rng = np.random.default_rng(0)
+    xs, ts = rng.uniform(qgrid.t_start, qgrid.t_end, 12), rng.uniform(0.0, 500.0, 12)
+    samples = evolve_diagonal_series(rho, xs, ts)
+    fit = tomography_solve(samples, rho.p_grid, grid=qgrid)
+    rec = recover_state(rank1_extract(fit.rho), windows)
+    assert fidelity(rec, psi) >= 1.0 - 1e-6
+    assert len(transforms) == 4
+
+
+def test_a_state_carries_one_read_only_twin(qgrid):
+    psi = _state(qgrid)
+    twin = psi._twin
+    assert psi._twin is twin
+    assert type(twin) is SampledSignal and twin.grid == qgrid
+    np.testing.assert_array_equal(twin.values, np.conj(psi.values))
+    assert not twin.values.flags.writeable
+
+
+def test_fidelity_is_the_normalized_inner_product(qgrid):
+    a, b = _state(qgrid), _state(qgrid, shift=-0.5, kick=0.05)
+    want = abs(inner_product(a, b)) / (l2_norm(a) * l2_norm(b))
+    assert fidelity(a, b) == want < 1.0
 
 
 def test_gate_state_vanishes_on_window_and_spills(qgrid):

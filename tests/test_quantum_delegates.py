@@ -3,8 +3,11 @@
 The quantum transform pair, P_P, P_X and the gap-inverting series are the
 conjugates of their signal-side counterparts, so ``quantum.py`` calls
 ``core``, ``projections`` and ``recovery`` for them.  This walks the
-module's syntax tree and fails on any ``np.fft`` reference, or on a loop
-outside the tomography code, where a second copy would show up first.
+module's syntax tree and fails on any ``np.fft`` reference, on a loop
+outside the tomography code, where a second copy would show up first, on
+an ``np.conj`` call outside ``_conj``, or on an overlap (``np.vdot``)
+outside the tomography helpers: a state is conjugated once, into its
+twin, and ``fidelity`` is ``core.inner_product``.
 """
 
 import ast
@@ -23,6 +26,33 @@ LOOPS_ALLOWED = {
     "_require_finite",
     "_degenerate_pairs",
 }
+
+#: the tomography fit and the helpers it alone calls
+TOMOGRAPHY = {
+    "tomography_solve",
+    "_gram_factor",
+    "_gram_cond",
+    "_inverse_cholesky",
+    "_separable_gram",
+    "_separable_rhs",
+    "_separable_fit",
+    "_dense_design",
+    "_degenerate_pairs",
+    "_complete_populations",
+}
+
+
+def _callers(name):
+    """The top-level definitions whose bodies call ``name``, spelled as given."""
+    return {
+        node.name
+        for node in TREE.body
+        if hasattr(node, "name")
+        and any(
+            isinstance(n, ast.Call) and ast.unparse(n.func) == name
+            for n in ast.walk(node)
+        )
+    }
 
 
 def test_quantum_module_makes_no_fft_call():
@@ -53,3 +83,13 @@ def test_quantum_module_loops_only_in_tomography():
         for line in loops(node)
     ]
     assert not found, f"loop outside the tomography code at lines {found}"
+
+
+def test_states_are_conjugated_only_by_conj():
+    assert _callers("np.conj") == {"_conj"}
+
+
+def test_overlaps_outside_tomography_go_through_inner_product():
+    assert TOMOGRAPHY <= {getattr(n, "name", None) for n in TREE.body}
+    assert _callers("np.vdot") <= TOMOGRAPHY
+    assert "fidelity" in _callers("inner_product")

@@ -247,6 +247,23 @@ def test_bad_sampling_input_is_rejected_when_constructed(s_w, band, make):
         make(s_w, band)
 
 
+def test_comb_offsets_must_be_integers(grid):
+    # the int cast turned [0.5, 1.9, -2.7] into [0, 1, -2] and 1e30 into
+    # -2**63 silently, so instants and periodized_spectrum used sample
+    # times nobody gave
+    for bad in (
+        [0.5, 1.9, -2.7],
+        [0.0, np.inf, 1.0],
+        np.array([0.0, 1.0, np.nan]),
+        np.array([0.0, 1.0, 1e30]),
+    ):
+        with pytest.raises(ValueError, match="offsets"):
+            CombSamples(grid, T_SN, bad, [1.0, 2.0, 3.0])
+    c = CombSamples(grid, T_SN, np.array([0.0, 1.0, -2.0]), [1.0, 2.0, 3.0])
+    assert c.offsets.dtype.kind == "i"
+    np.testing.assert_array_equal(c.instants, [0.0, T_SN, -2.0 * T_SN])
+
+
 @st.composite
 def _copy_cases(draw):
     """A grid with t = 0 on it, t_sn = m dt with m | n, a band of at most
