@@ -43,12 +43,12 @@ from .io import (
 from .projections import (
     LAMBDA0_TOL,
     _band_mask,
+    _dirichlet_kernel,
     band_project,
     band_spill_ratio,
     concentration_ratio,
     operator_norm_sq,
     out_of_band_fraction,
-    prolate_matrix,
 )
 from .quantum import (
     DESIGN_COND_LIMIT,
@@ -391,7 +391,7 @@ def run_bounds_audit(
     """Audit the concentration bounds over a (W, T) sweep.
 
     Per pair: the exact min(M, K) Gram-matrix lambda0 against the trace
-    M*K/n of the M x M prolate matrix and against its dense eigensolve,
+    M*K/n and the top eigenvalue of the closed-form Dirichlet kernel (no E),
     that trace against WT, and the concentration ratio of the demo signal
     and the band spill of its gated copy against lambda0.
     """
@@ -403,9 +403,9 @@ def run_bounds_audit(
         window = Interval(0.0, float(t))
         wt = float(w) * float(t)
         lam = operator_norm_sq(grid, band, window)
-        b = prolate_matrix(grid, band, window)
-        dense = float(np.linalg.eigvalsh(b)[-1])
-        trace = float(np.real(np.trace(b)))
+        r = _dirichlet_kernel(grid, band, window)
+        dense = float(np.linalg.eigvalsh(r)[-1]) if r.size else 0.0
+        trace = float(np.trace(r))
         conc = concentration_ratio(s_w, band, window)
         spill = band_spill_ratio(s_w, band, window)
         ok = (
@@ -583,7 +583,7 @@ def run_stability(
     columns = [(k, [getattr(row, k) for row in rows]) for k in ("sigma", "err", "amplification")]
     columns.append(("bound", [bound] * len(rows)))
     artifacts = [write_csv(outdir / "stability.csv", columns)]
-    return checks, {"bound": bound if rows else None}, artifacts
+    return checks, {"bound": bound}, artifacts
 
 
 @_experiment(
@@ -716,7 +716,7 @@ def run_quantum_pipeline(
             checks,
             "tomography_design_well_conditioned",
             False,
-            {"error": str(exc), "pairs": [repr(p_) for p_ in exc.pairs or []]},
+            {"error": str(exc), "pairs": [repr(p_) for p_ in exc.pairs]},
             "design condition number below 1e10",
         )
         return checks, metrics, []

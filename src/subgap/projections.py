@@ -4,9 +4,9 @@
 ``time_gate`` (P_T) zeroes samples outside a time window.  Both are
 orthogonal projections.  The composite P_W P_T P_W (the prolate
 concentration operator) is built once per (grid, band, window) for the
-solvers, prolate_matrix, the ratios here and sampling's integral-equation
-residual; its top eigenvalue lambda0 is at most its trace M*K/n ~ WT,
-and every concentration ratio is checked against that lambda0 by one guard.
+solvers, the ratios here and sampling's integral-equation residual; its
+top eigenvalue lambda0 is at most its trace M*K/n ~ WT, and every
+concentration ratio is checked against that lambda0 by one guard.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Interval, SampledSignal, TimeGrid, _dft, _ramp
+from .core import Interval, SampledSignal, TimeGrid, _dft
 from .errors import BoundViolationError, NotBandlimitedError
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "out_of_band_fraction",
     "smear_response",
     "concentration_ratio",
-    "prolate_matrix",
     "operator_norm_sq",
     "band_spill_ratio",
     "segment_compatibility",
@@ -176,7 +175,7 @@ def _concentration_operator(grid: TimeGrid, band: Interval, window: Interval):
     """The one build of E and lambda0 per (grid, band, window).
 
     One entry covers every repeat: a report and then its solves, three
-    solvers in a row, a noise sweep, operator_norm_sq then prolate_matrix;
+    solvers in a row, a noise sweep, operator_norm_sq then both ratios;
     the integral-equation residual reads E from it too.
     """
     e, bins, gates = _gated_exponentials(grid, band, window)
@@ -188,21 +187,21 @@ def _concentration_operator(grid: TimeGrid, band: Interval, window: Interval):
     return _ConcentrationOperator(e, bins, gates, lam, on_window, a)
 
 
-def prolate_matrix(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
-    """The operator P_W P_T P_W restricted to the in-band spectral basis.
+def _dirichlet_kernel(grid: TimeGrid, band: Interval, window: Interval) -> np.ndarray:
+    """Slepian's discrete prolate kernel: the spectrum of P_W P_T P_W without E.
 
-    With w_j the M in-band bin frequencies (ascending) and t_k the gated
-    sample instants, the matrix is B = F F^H / n (dt * dw = 1/n) with
-    F_jk = exp(2 pi i w_j t_k).  F is built as the exact-phase basis E of
-    the solvers times the in-band rows of the grid's memoised t_start ramp,
-    the table :func:`forward_spectrum` reads.  B is Hermitian PSD with
-    trace M*K/n ~ WT, and its largest eigenvalue equals ||P_T P_W||^2.
-    The dense M x M oracle for :func:`operator_norm_sq` and the direct
-    solve, on their shared E.
+    For M consecutive bins and K consecutive gates, E E^H / n and E^H E / n
+    are, up to a diagonal phase similarity, the real symmetric Toeplitz
+    R_ij = sin(pi L (i - j) / n) / (n sin(pi (i - j) / n)), d = min(M, K)
+    square with L = max(M, K) and diagonal L/n: the audit's oracle for
+    lambda0, with trace M*K/n, from the two masks alone.  The phase is
+    reduced mod 2 pi in integers; an empty window gives a 0 x 0 matrix.
     """
-    op = _concentration_operator(grid, band, window)
-    f = _ramp(grid)[_band_mask(grid, band), None] * op.e
-    return (f @ f.conj().T) / grid.n
+    n = grid.n
+    d, l = sorted((int(_band_mask(grid, band).sum()), int(_window_mask(grid, window).sum())))
+    k = np.arange(d)
+    lag = np.sin(np.pi * (l * k[1:] % (2 * n)) / n) / (n * np.sin(np.pi * k[1:] / n))
+    return np.append(l / n, lag)[np.abs(k[:, None] - k)]
 
 
 def operator_norm_sq(grid: TimeGrid, band: Interval, window: Interval) -> float:
@@ -257,11 +256,11 @@ def band_spill_ratio(s_w: SampledSignal, band: Interval, window: Interval) -> fl
     That spill is precisely what the recovery formulas fold back.
     """
     _require_bandlimited(s_w, band, "input")
-    return 1.0 - segment_compatibility(s_w, window, band)
+    return 1.0 - segment_compatibility(s_w, band, window)
 
 
-def segment_compatibility(r: SampledSignal, window: Interval, band: Interval) -> float:
-    """In-band energy fraction of the windowed segment: <r|P_T P_W P_T|r>/<r|P_T|r>.
+def segment_compatibility(s: SampledSignal, band: Interval, window: Interval) -> float:
+    """In-band energy fraction of the windowed segment: <s|P_T P_W P_T|s>/<s|P_T|s>.
 
     ||E g||^2 / (n ||g||^2) with g the window's samples: no transform, but
     a new (grid, band, window) first builds E and lambda0, O(MK min(M, K))
@@ -269,12 +268,12 @@ def segment_compatibility(r: SampledSignal, window: Interval, band: Interval) ->
     segment consistent with the band, which lambda0 ~ WT allows only for
     a segment longer than 1/W.  Non-finite window samples raise ValueError.
     """
-    op = _concentration_operator(r.grid, band, window)
-    g = r.values[op.gates]
+    op = _concentration_operator(s.grid, band, window)
+    g = s.values[op.gates]
     denom = np.vdot(g, g).real
     if not math.isfinite(denom):
         raise ValueError(f"window energy of the signal is not finite: {denom}")
     if denom <= 0.0:
         raise ValueError("signal has no energy inside the window")
-    ratio = np.linalg.norm(op.e @ g) ** 2 / (r.grid.n * denom)
+    ratio = np.linalg.norm(op.e @ g) ** 2 / (s.grid.n * denom)
     return _bounded_by_lambda0(ratio, op, "segment compatibility")

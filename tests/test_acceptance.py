@@ -40,7 +40,6 @@ from subgap import (
     operator_norm_sq,
     out_of_band_fraction,
     periodized_spectrum,
-    prolate_matrix,
     rank1_extract,
     recover_band_neumann,
     recover_direct,
@@ -51,6 +50,7 @@ from subgap import (
     tomography_solve,
 )
 from subgap.experiments import run_quantum_pipeline
+from subgap.projections import _dirichlet_kernel
 
 # one (W, T) pair per product W*T in {0.1, 0.25, 0.5, 0.9}
 SWEEP = [(1.6, 0.0625), (1.0, 0.25), (2.0, 0.25), (3.6, 0.25)]
@@ -82,9 +82,9 @@ def test_01_concentration_operator_norm_bounded_below_one(grid):
     for w, t in SWEEP:
         band, window = Interval(0.0, w), Interval(0.0, t)
         lam = operator_norm_sq(grid, band, window)
-        trace = float(np.real(np.trace(prolate_matrix(grid, band, window))))
+        trace = float(np.trace(_dirichlet_kernel(grid, band, window)))
         assert lam <= trace + 1e-12, (w, t)
-        dense = np.linalg.eigvalsh(prolate_matrix(grid, band, window))[::-1][0]
+        dense = np.linalg.eigvalsh(_dirichlet_kernel(grid, band, window))[::-1][0]
         assert abs(lam - dense) <= 1e-8, (w, t)
         assert abs(trace - w * t) <= 0.02 * w * t, (w, t)
 

@@ -24,7 +24,6 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: the parameters each hook in perfbench/tracing.py ``HOOKS`` binds by name
 HOOK_PARAMS = {
-    "projections.prolate_matrix": ["grid", "window"],
     "sampling.sinc_reconstruct": ["c", "at"],
     "sampling.periodized_spectrum": ["c"],
     "sampling.integral_equation_residual": ["s_hat", "band", "t_ds"],

@@ -1,9 +1,9 @@
 """One build of the exact-phase basis E per (grid, band, window), and one
 transform per erased signal.
 
-The refusal check, the three gap solvers, ``operator_norm_sq``,
-``prolate_matrix`` and the concentration ratios all read E and lambda0
-from one memoised record, and the three solvers read the FFT of a
+The refusal check, the three gap solvers, ``operator_norm_sq``, the
+concentration ratios and the integral-equation residual all read E and
+lambda0 from one memoised record, and the three solvers read the FFT of a
 signal from core's one signal memo, keyed on that signal.  These
 tests count the uncached builds, transforms and Gram products behind
 them, check that neither memo can carry state from one call into the
@@ -88,9 +88,9 @@ def test_report_and_three_solvers_build_e_once(builds, grid, random_bandlimited)
 )
 def test_default_runs_build_e_once_per_window(builds, tmp_path, kind, expected):
     # recovery: one report and three solvers; stability: one report and a
-    # solve per sigma; bounds_audit: operator_norm_sq, prolate_matrix and
-    # both ratios on each of its four (W, T) pairs; quantum_pipeline: the
-    # window probability, its cap and recover_state
+    # solve per sigma; bounds_audit: operator_norm_sq and both ratios on
+    # each of its four (W, T) pairs; quantum_pipeline: the window
+    # probability, its cap and recover_state
     EXPERIMENTS[kind](tmp_path)
     assert len(builds) == expected
 

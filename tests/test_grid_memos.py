@@ -1,12 +1,12 @@
 """One table per grid for the transform pair's t_start ramp, and one per
 comb geometry for the transform of the sinc-series kernel.
 
-``forward_spectrum``, ``inverse_signal`` and ``prolate_matrix`` read the
-ramp from ``core._ramp``, and ``sinc_reconstruct`` reads the kernel's FFT
-from ``sampling._sinc_kernel``.  These tests check that each table is the
-unmemoised expression bit for bit and read-only, count the work a warm
-call still makes, and check that no output depends on whether the table
-was cold, warm or evicted.
+``forward_spectrum``, ``inverse_signal`` and ``integral_equation_residual``
+read the ramp from ``core._ramp``, and ``sinc_reconstruct`` reads the
+kernel's FFT from ``sampling._sinc_kernel``.  These tests check that each
+table is the unmemoised expression bit for bit and read-only, count the
+work a warm call still makes, and check that no output depends on
+whether the table was cold, warm or evicted.
 """
 
 import numpy as np
@@ -21,8 +21,9 @@ from subgap import (
     TimeGrid,
     comb_sample,
     forward_spectrum,
+    integral_equation_residual,
     inverse_signal,
-    prolate_matrix,
+    operator_norm_sq,
     sinc_reconstruct,
 )
 from subgap import core, sampling
@@ -84,11 +85,12 @@ def test_warm_transforms_make_no_exponential(exps, grid):
     spec = forward_spectrum(s)
     assert len(exps) == 1
     band, window = Interval(0.0, 2.0), Interval(0.0, 0.25)
-    prolate_matrix(grid, band, window)  # builds E and its roots of unity
+    operator_norm_sq(grid, band, window)  # builds E and its roots of unity
     exps.clear()
     forward_spectrum(s)
     inverse_signal(spec)
-    prolate_matrix(grid, band, window)  # takes its ramp rows from the memo
+    # reads E from the operator and its ramp rows from the memo
+    integral_equation_residual(spec, spec, band, window.width)
     assert exps == []
 
 

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgap import projections
 from subgap import (
@@ -33,12 +35,12 @@ from subgap import (
     make_demo_signal,
     operator_norm_sq,
     out_of_band_fraction,
-    prolate_matrix,
     segment_compatibility,
     smear_response,
     spectral_copy_recover,
     time_gate,
 )
+from subgap.experiments import run_bounds_audit
 
 # (W, T) pairs realizing WT in {0.1, 0.25, 0.5, 0.9} on the default grid
 SWEEP = [(1.6, 1.0 / 16), (1.0, 0.25), (2.0, 0.25), (3.6, 0.25)]
@@ -148,9 +150,9 @@ def test_operator_norm_bound_and_dense_agreement(grid, w, t):
     band = Interval(0.0, w)
     window = Interval(0.0, t)
     lam = operator_norm_sq(grid, band, window)
-    trace = float(np.real(np.trace(prolate_matrix(grid, band, window))))
+    trace = float(np.trace(projections._dirichlet_kernel(grid, band, window)))
     assert 0.0 <= lam <= min(1.0, trace + 1e-12)
-    evals = np.linalg.eigvalsh(prolate_matrix(grid, band, window))[::-1]
+    evals = np.linalg.eigvalsh(projections._dirichlet_kernel(grid, band, window))[::-1]
     assert abs(lam - evals[0]) <= 1e-8
     # the whole spectrum sits in [0, 1] up to round-off
     assert evals[-1] >= -1e-12 and evals[0] <= 1.0 + 1e-12
@@ -161,25 +163,79 @@ def test_operator_norm_is_the_dense_top_eigenvalue(grid, w, t):
     band = Interval(0.0, w)
     window = Interval(0.0, t)
     lam = operator_norm_sq(grid, band, window)
-    assert abs(lam - np.linalg.eigvalsh(prolate_matrix(grid, band, window))[::-1][0]) <= 1e-12
-    # I - B is Hermitian with B PSD, so its condition number is at most
+    b = projections._dirichlet_kernel(grid, band, window)
+    assert abs(lam - np.linalg.eigvalsh(b)[::-1][0]) <= 1e-12
+    # I - B is symmetric with B PSD, so its condition number is at most
     # 1/(1 - lambda0): no separate condition check is needed once the
     # lambda0 margin holds
-    b = prolate_matrix(grid, band, window)
     cond = np.linalg.cond(np.eye(b.shape[0]) - b)
     assert cond <= (1.0 + 1e-9) / (1.0 - lam)
 
 
 @pytest.mark.parametrize("w,t", SWEEP)
 def test_gram_trace_equals_time_bandwidth_product(grid, w, t):
-    tr = float(np.real(np.trace(prolate_matrix(grid, band=Interval(0.0, w), window=Interval(0.0, t)))))
+    tr = float(np.trace(projections._dirichlet_kernel(grid, Interval(0.0, w), Interval(0.0, t))))
     assert abs(tr - w * t) <= 0.02 * w * t
 
 
-def test_prolate_matrix_hermitian_psd(grid):
-    b = prolate_matrix(grid, Interval(0.0, 2.0), Interval(0.0, 0.25))
-    assert np.max(np.abs(b - b.conj().T)) <= 1e-14
+def test_dirichlet_kernel_symmetric_psd(grid):
+    b = projections._dirichlet_kernel(grid, Interval(0.0, 2.0), Interval(0.0, 0.25))
+    assert np.isrealobj(b) and np.max(np.abs(b - b.T)) <= 1e-14
     assert np.linalg.eigvalsh(b).min() >= -1e-12
+
+
+@st.composite
+def _placements(draw):
+    """A grid with M consecutive bins and K consecutive gates anywhere inside
+    it, min(M, K) <= 128; every edge lies a quarter step or more from a point."""
+    n = 2 * draw(st.integers(4, 4096))
+    grid = TimeGrid(draw(st.floats(-50.0, 50.0)), draw(st.floats(1e-3, 0.1)), n)
+    small = st.integers(0, min(n - 2, 128))
+    if draw(st.booleans()):
+        m, k = max(draw(small), 1), draw(st.integers(0, n - 2))
+    else:
+        m, k = draw(st.integers(1, n - 1)), draw(small)
+    j = draw(st.integers(1, n - m)) - n // 2 - 0.5
+    band = Interval((j + 0.5 * m) * grid.dual.dw, m * grid.dual.dw)
+    i = draw(st.integers(1, n - 1 - k)) - 0.5
+    # K = 0 leaves a half-step window centred between two samples
+    width = max(k, 0.5) * grid.dt
+    return grid, band, Interval(grid.t_start + (i + 0.5 * k) * grid.dt, width)
+
+
+@settings(max_examples=60)
+@given(_placements())
+def test_dirichlet_kernel_top_eigenvalue_is_lambda0(placement):
+    # Slepian's closed form shares nothing with E, yet has its spectrum
+    grid, band, window = placement
+    r = projections._dirichlet_kernel(grid, band, window)
+    lam = operator_norm_sq(grid, band, window)
+    m, k = projections._band_mask(grid, band).sum(), projections._window_mask(grid, window).sum()
+    assert r.shape == (min(m, k),) * 2 and min(m, k) <= 128
+    top = np.linalg.eigvalsh(r)[-1] if r.size else 0.0
+    assert abs(top - lam) <= 1e-12 * lam
+
+
+def test_a_scaled_basis_fails_every_bounds_audit_check(tmp_path, monkeypatch):
+    # E scaled by 1.001 raises lambda0 by 0.2%; the audit's oracle reads no
+    # E, so every pair fails, and only under the scaling
+    def passed():
+        projections._concentration_operator.cache_clear()
+        checks = run_bounds_audit(tmp_path)["checks"]
+        return [c["passed"] for c in checks if c["name"].startswith("bounds_hold_")]
+
+    real = projections._gated_exponentials
+
+    def scaled(*args):
+        e, bins, gates = real(*args)
+        return e * 1.001, bins, gates
+
+    try:
+        assert passed() == [True] * 4
+        monkeypatch.setattr(projections, "_gated_exponentials", scaled)
+        assert passed() == [False] * 4
+    finally:
+        projections._concentration_operator.cache_clear()
 
 
 def test_gated_energy_bounded_by_operator_norm(grid, band):
@@ -252,7 +308,7 @@ NON_FINITE_RATIOS = {
     "landau_pollak": lambda s, band, window: landau_pollak_ratio(
         WaveFunction(s.grid, np.conj(s.values)), PhaseSpaceWindows(window, band)
     ),
-    "segment": lambda s, band, window: segment_compatibility(s, window, band),
+    "segment": segment_compatibility,
 }
 
 
@@ -276,7 +332,7 @@ def test_segment_compatibility_bounded(grid, band):
     cap = operator_norm_sq(grid, band, window)
     for seed in range(3):
         r = time_gate(_random_signal(grid, 30 + seed), window)
-        assert segment_compatibility(r, window, band) <= cap
+        assert segment_compatibility(r, band, window) <= cap
 
 
 def test_subsample_window_gives_zero_norm(grid):
@@ -297,7 +353,7 @@ def test_ratios_read_the_cached_operator(grid, band, s_w, monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    segment_compatibility(s_w, window, band)
+    segment_compatibility(s_w, band, window)
     assert calls == []
     concentration_ratio(s_w, band, window)
     assert calls == ["ifft"]
@@ -308,7 +364,7 @@ def test_segment_compatibility_rejects_a_segment_with_no_energy(grid, band, s_w)
     window = Interval(0.0, 0.25)
     r = complement_gate(s_w, window)
     with pytest.raises(ValueError, match="no energy inside the window"):
-        segment_compatibility(r, window, band)
+        segment_compatibility(r, band, window)
 
 
 # every public function that takes a band, called with a band on the default

@@ -22,14 +22,13 @@ from subgap import (
     make_demo_signal,
     noise_stability_sweep,
     out_of_band_fraction,
-    prolate_matrix,
     recover_band_neumann,
     recover_direct,
     recover_neumann,
     recover_state,
     time_gate,
 )
-from subgap import core, recovery
+from subgap import core, projections, recovery
 from subgap.experiments import run_stability
 
 WINDOW = Interval(0.0, 0.25)  # WT = 0.5 with the W = 2 band
@@ -263,7 +262,7 @@ def test_direct_solve_is_linear_and_refusal_is_exact(w, t, place, seed):
     grid = TimeGrid(-8.0, 1.0 / 64, 1024)
     band = Interval(0.0, w)
     window = Interval(grid.t_start + t / 2 + place * (grid.span - t), t)
-    lam = np.linalg.eigvalsh(prolate_matrix(grid, band, window))[::-1][0]
+    lam = np.linalg.eigvalsh(projections._dirichlet_kernel(grid, band, window))[::-1][0]
     refuse = w * t >= 1.0 or lam > 1.0 - 1e-6
     rng = np.random.default_rng(seed)
     r1, r2 = (

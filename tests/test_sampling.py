@@ -376,6 +376,15 @@ def test_band_restriction_regimes(grid, band, s_w, t_ds, regime):
     assert result.regime == regime
 
 
+def test_first_term_at_the_limit_has_an_infinite_offset(grid, band, s_w):
+    # at W*t_ds = 1 the first-order model's 1/(1 - W*t_ds) has no value
+    t_ds = 1.0 / band.width
+    r = erase(s_w, ErasureModel(window=Interval(T_SN / 2.0, t_ds), source_band=band))
+    result = band_approx_first_term(r, band, t_ds)
+    assert band.width * t_ds == 1.0
+    assert result.predicted_offset == math.inf and result.regime == "distorted"
+
+
 def test_first_order_offset_prediction(grid, band, s_w):
     # for a narrow gap the model pins the uniform offset to ~5%
     t_ds = 1.0 / 64

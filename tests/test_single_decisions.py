@@ -120,12 +120,25 @@ def test_intervals_meet_a_grid_by_one_rule_each():
 
 def test_the_gated_basis_is_built_by_the_operator_alone():
     # E is built once per (grid, band, window) by the memoised operator; the
-    # solvers, prolate_matrix and the integral-equation residual read op.e
+    # solvers, the ratios and the integral-equation residual read op.e
     sites = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         sites += [(path.stem, fn) for _, fn, _ in _sites(tree, "_gated_exponentials")]
     assert sites == [("projections", "_concentration_operator")]
+
+
+def test_the_audit_oracle_reads_no_e():
+    # the Dirichlet kernel counts M and K through the two masks alone, so a
+    # wrong E cannot agree with it
+    kernel = next(
+        node for node in ast.walk(_tree(projections))
+        if isinstance(node, ast.FunctionDef) and node.name == "_dirichlet_kernel"
+    )
+    names = _names(kernel)
+    assert {"_band_mask", "_window_mask"} <= names
+    banned = {"_concentration_operator", "_gated_exponentials", "_roots_of_unity", "e"}
+    assert names & banned == set()
 
 
 def test_the_copy_sums_are_one_table_not_a_generator():
@@ -355,8 +368,8 @@ def _names(node):
 
 
 def test_the_t_start_phase_is_reduced_in_one_place():
-    # forward_spectrum, inverse_signal and prolate_matrix all take the ramp
-    # exp(2 pi i mod(w t_start, 1)) from core._ramp
+    # forward_spectrum, inverse_signal and integral_equation_residual all
+    # take the ramp exp(2 pi i mod(w t_start, 1)) from core._ramp
     def reduces_t_start(node):
         return (
             isinstance(node, ast.Call)
