@@ -14,20 +14,23 @@ the JSON Schema keywords ``type`` (object, array, string, number,
 integer), ``const``, ``properties``, ``required``, ``additionalProperties:
 false``, ``minimum``, ``exclusiveMinimum``, ``multipleOf``, ``items``,
 ``minItems``, ``maxItems`` and ``uniqueItems`` by JSON Schema's rules: a
-bool is no number, and an integral float such as ``2.0`` is an integer,
-which reaches the runner as the int ``2``.  ``--seed`` is checked against
-the config's ``seed`` schema.  The output directory is resolved in order
-from ``--out``, the config's ``outdir`` field, the ``SUBGAP_OUTDIR``
-environment variable, and finally ``./out``.  Exit status is 0 when every
-check in the run's report passed and 1 when one failed.  A config error
-exits with status 2 and a diagnostic: the field the schema rejects or that
-is NaN or infinite, or the runner's ``ValueError`` for a config that does
-not fit the grid (a band past Nyquist, a window outside the grid, a
-sampling period off its lattice, a copy order ``k_max`` past T_SN/(2 dt), a
-grid without t = 0 as a point in ``sampling`` or ``fig2``, fewer tomography
-samples than M^2), in ``fig2``, a ``T_DS`` list without ``T_SN``, or values
-that would share a check name (``T_DS`` labels, ``bounds_audit`` pairs or
-``stability`` sigmas).
+bool is no number, and an integral float such as ``2.0`` is an integer.
+A value reaches the runner typed by its schema, an integer as int and a
+number as float, so ``2`` and ``2.0`` write the same artifacts.
+``--seed`` is checked against the config's ``seed`` schema.  The output
+directory is resolved in order from ``--out``, the config's ``outdir``
+field, the ``SUBGAP_OUTDIR`` environment variable, and finally ``./out``.
+Exit status is 0 when every check in the run's report passed and 1 when
+one failed.  A config error exits with status 2 and a diagnostic: the
+field the schema rejects or that is NaN or infinite, or the runner's
+``ValueError`` for a config that does not fit the grid (a band past
+Nyquist, a window outside the grid, a sampling period off its lattice or
+no wider than the grid step, a copy order ``k_max`` past T_SN/(2 dt), a
+grid without t = 0 as a point in ``sampling`` or ``fig2``, fewer
+tomography samples than M^2), a ``recovery`` ``tol`` of 1 or more, in
+``fig2``, a ``T_DS`` list without ``T_SN``, or values that would share a
+check name (``T_DS`` labels, ``bounds_audit`` pairs or ``stability``
+sigmas).
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def _has_type(value, kind):
 
 
 def _walk(schema, value, path=()):
-    """``value`` checked against ``schema``, with integer-typed values as int.
+    """``value`` checked against ``schema``, integers as int and numbers as float.
 
     Raises ConfigError naming the dotted path of the first field rejected;
     NaN and +-Infinity are rejected wherever they appear.
@@ -117,6 +120,8 @@ def _walk(schema, value, path=()):
         _fail(path, f"{value!r} is not a multiple of {schema['multipleOf']!r}")
     if kind == "integer":
         return int(value)
+    if kind == "number":
+        return float(value)
     if kind == "object":
         props = schema.get("properties", {})
         for key in schema.get("required", ()):
@@ -146,9 +151,9 @@ def _walk(schema, value, path=()):
 def validate_config(cfg):
     """Validate a parsed config and translate it to runner arguments.
 
-    Returns (experiment kind, runner kwargs, grid or None, seed, outdir or
-    None), integer fields as int.  Raises :class:`ConfigError` with the
-    offending field named.
+    Returns (experiment kind, runner kwargs, outdir or None); ``seed`` and
+    ``grid`` are among the kwargs only when the config sets them.  Raises
+    :class:`ConfigError` with the offending field named.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -159,14 +164,15 @@ def validate_config(cfg):
         )
     cfg = _walk(SCHEMAS[kind], cfg)
     kwargs = {kw: cfg[key] for key, (kw, *_) in SPECS[kind].items() if key in cfg}
-    grid = None
+    if "seed" in cfg:
+        kwargs["seed"] = cfg["seed"]
     if "grid" in cfg:
         g = cfg["grid"]
         try:
-            grid = TimeGrid(float(g["start"]), float(g["step"]), g["n"])
+            kwargs["grid"] = TimeGrid(g["start"], g["step"], g["n"])
         except ValueError as exc:
             raise ConfigError(f"field `grid`: {exc}") from exc
-    return kind, kwargs, grid, cfg.get("seed", 0), cfg.get("outdir")
+    return kind, kwargs, cfg.get("outdir")
 
 
 def resolve_outdir(cli_out, cfg_out=None) -> Path:
@@ -229,15 +235,15 @@ def main(argv=None) -> int:
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return 2
         try:
-            kind, kwargs, grid, seed, cfg_out = validate_config(cfg)
+            kind, kwargs, cfg_out = validate_config(cfg)
             if args.seed is not None:
-                seed = _walk(_COMMON["seed"], args.seed, ("seed",))
+                kwargs["seed"] = _walk(_COMMON["seed"], args.seed, ("seed",))
         except ConfigError as exc:
             print(f"error: invalid config: {exc}", file=sys.stderr)
             return 2
         outdir = resolve_outdir(args.out, cfg_out)
         try:
-            report = EXPERIMENTS[kind](outdir, seed=seed, grid=grid, **kwargs)
+            report = EXPERIMENTS[kind](outdir, **kwargs)
         except ValueError as exc:
             print(f"error: invalid config: {exc}", file=sys.stderr)
             return 2

@@ -153,15 +153,6 @@ def _limit_refusal(checks, report, label, product, what, refused=True):
     )
 
 
-def _echo(schema, value):
-    """A parameter as the report echoes it: numbers as float, arrays by item."""
-    if schema.get("type") == "number":
-        return float(value)
-    if schema.get("type") == "array":
-        return [_echo(schema["items"], item) for item in value]
-    return value
-
-
 def _experiment(kind, grid_factory, **params):
     """Register the decorated body as the runner of ``kind``.
 
@@ -188,7 +179,7 @@ def _experiment(kind, grid_factory, **params):
                 a["grid"] = grid_factory()
             checks, metrics, artifacts = body(**a)
             grid = a["grid"]
-            config = {k: _echo(schema, a[kw]) for k, (kw, schema, _) in params.items()}
+            config = {k: a[kw] for k, (kw, _, _) in params.items()}
             config.update(experiment=kind, seed=a["seed"])
             config["grid"] = {"start": grid.t_start, "step": grid.dt, "n": grid.n}
             report = {
@@ -239,10 +230,14 @@ def _gap_window(t_sn: float, t_ds: float, dt: float) -> Interval:
 
     A gap as wide as the sampling period would swallow a sample and break
     the premise that the observed data agrees with the signal at every
-    k*t_sn, so that case is trimmed by one grid step.
+    k*t_sn, so that case is trimmed by one grid step; ValueError names
+    ``T_SN`` when that leaves no gap.
     """
-    width = t_sn - dt if abs(t_ds - t_sn) <= 1e-12 else t_ds
-    return Interval(t_sn / 2.0, width)
+    if abs(t_ds - t_sn) > 1e-12:
+        return Interval(t_sn / 2.0, t_ds)
+    if t_sn <= dt:
+        raise ValueError(f"field `T_SN`: must exceed the grid step {dt:g}, got {t_sn:g}")
+    return Interval(t_sn / 2.0, t_sn - dt)
 
 
 def _copy_errors(checks, s_w, s_hat, band, t_sn, k_max):
@@ -399,9 +394,9 @@ def run_bounds_audit(
     traces = {}
     keys = _distinct("pairs", [f"W={w:g},T={t:g}" for w, t in pairs])
     for key, (w, t) in zip(keys, pairs):
-        band, s_w = _demo(grid, float(w))
-        window = Interval(0.0, float(t))
-        wt = float(w) * float(t)
+        band, s_w = _demo(grid, w)
+        window = Interval(0.0, t)
+        wt = w * t
         lam = operator_norm_sq(grid, band, window)
         r = _dirichlet_kernel(grid, band, window)
         dense = float(np.linalg.eigvalsh(r)[-1]) if r.size else 0.0
@@ -482,7 +477,7 @@ def run_recovery(
         direct = recover_direct(r, band, window)
     except RefusalError as exc:
         if not rec.refused:
-            raise
+            raise  # the direct solve's dimension guard refused alone
         metrics["direct_refusal"] = str(exc)
     if rec.refused:
         refused = rec_band.refused and "direct_refusal" in metrics

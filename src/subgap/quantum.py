@@ -338,15 +338,18 @@ def recover_state(
     as the band and [X] as the window, normalized at the end (the scale
     lost to gating is a normalization constant).  The map is linear
     before that, so a global phase on the input reappears on the output.
-    Raises RefusalError from the invertibility report (XP >= 1, reported
-    as WT, or lambda0 > 1 - 1e-6), and NonConvergenceError when the
-    series stops before its relative update falls below ``tol``.
+    Raises ValueError for a bad ``tol`` or ``k_max`` or a non-finite state,
+    as the series solver does, before RefusalError from the invertibility
+    report (XP >= 1, reported as WT, or lambda0 > 1 - 1e-6), and
+    NonConvergenceError when the series stops before its relative update
+    falls below ``tol``.
     """
-    report = invertibility_report(psi_m_projected.grid, windows.p_band, windows.x_window)
-    report._require("state recovery")
     rep = recover_band_neumann(
         psi_m_projected._twin, windows.p_band, windows.x_window, tol, k_max
     )
+    if rep.refused:
+        report = invertibility_report(psi_m_projected.grid, windows.p_band, windows.x_window)
+        report._require("state recovery")
     if not rep.converged:
         raise NonConvergenceError(f"state recovery stopped: {rep.reason}")
     return _normalized(_conj(rep.recovered, WaveFunction), "recovered state is zero")

@@ -168,11 +168,13 @@ def invertibility_report(grid: TimeGrid, band: Interval, window: Interval) -> In
 def _step_limit(wt: float, tol: float, k_max: int | None) -> int:
     """``k_max``, or by default the steps to ``tol`` at rate sqrt(WT) plus 50;
     ValueError names ``k_max`` unless it is None or an integer >= 0, not a
-    bool, and ``tol`` unless it is finite and > 0, or 0 with a k_max."""
+    bool, and ``tol`` unless 0 < tol < 1, or 0 with a k_max: a relative
+    tol of 1 or more asks nothing of the series, and made the default
+    count negative."""
     if k_max is not None and not (_is_int(k_max) and k_max >= 0):
         raise ValueError(f"k_max must be an integer >= 0 or None, got {k_max!r}")
-    if not (math.isfinite(tol) and (tol > 0.0 or (tol == 0.0 and k_max is not None))):
-        raise ValueError(f"tol must be finite and > 0 (0 only with a k_max), got {tol!r}")
+    if not (0.0 < tol < 1.0 or (tol == 0.0 and k_max is not None)):
+        raise ValueError(f"tol must be finite and in (0, 1) (0 only with a k_max), got {tol!r}")
     if k_max is not None:
         return k_max
     if wt <= 0.0:
@@ -196,14 +198,19 @@ def _prepared(r: SampledSignal, band: Interval, window: Interval):
     window's h) and q otherwise (z is u); None when the report refuses.
     :func:`invertibility_report` decides on every call from the cached
     lambda0; only a passing report reads the FFT of r, from
-    :func:`core._dft`, so a refusal makes none.
+    :func:`core._dft`, so a refusal makes none.  A NaN or inf in r reaches
+    every bin of its FFT, so ValueError names ``r`` when the in-band bins
+    are not all finite.
     """
     op = _concentration_operator(r.grid, band, window)
     report = invertibility_report(r.grid, band, window)
     if not report.invertible:
         return report, op, None, None
     n = r.grid.n
-    q = _dft(r)[op.bins] * n
+    q = _dft(r)[op.bins]
+    if not np.isfinite(q).all():  # before the product: numpy warns on inf * n
+        raise ValueError("r must be finite: its in-band transform holds NaN or inf")
+    q = q * n
     c = (q.conj() @ op.e).conj() / n if op.on_window else q  # E^H q / n
     return report, op, q, c
 

@@ -36,9 +36,10 @@ MINIMAL = {
 
 @pytest.mark.parametrize("kind", sorted(MINIMAL))
 def test_minimal_config_validates(kind):
-    got_kind, kwargs, grid, seed, outdir = validate_config(MINIMAL[kind])
+    got_kind, kwargs, outdir = validate_config(MINIMAL[kind])
     assert got_kind == kind
-    assert grid is None and seed == 0 and outdir is None
+    # seed and grid are left to the runner's defaults
+    assert "grid" not in kwargs and "seed" not in kwargs and outdir is None
     if "W" in MINIMAL[kind]:
         assert kwargs["w"] == 2.0
 
@@ -155,6 +156,12 @@ def test_non_finite_number_is_rejected_with_its_field(tmp_path, capsys, cfg, fie
         (dict(MINIMAL["sampling"], T_SN=0.3), "multiple"),
         # T_SN/dt = 16: the copy sum is exact at k_max = 8 and goes no further
         (dict(MINIMAL["sampling"], k_max=9), "k_max"),
+        # a tol of 1 or more ran no step and failed three checks
+        (dict(MINIMAL["recovery"], tol=1.0), "tol"),
+        # T_SN = dt: the gap trimmed by one step was empty, and the error
+        # named no field
+        (dict(MINIMAL["sampling"], T_SN=0.015625, k_max=1), "field `T_SN`"),
+        (dict(MINIMAL["fig2"], T_DS=[0.015625], T_SN=0.015625), "field `T_SN`"),
     ],
 )
 def test_config_that_does_not_fit_the_grid_exits_2(tmp_path, capsys, cfg, message):
@@ -348,8 +355,9 @@ def test_audit_subcommand_and_column_names(tmp_path):
 
 
 def _assert_same_outputs(out1, out2):
-    """Assert two run directories hold byte-identical artifacts and equal
-    reports apart from ``wall_time_s``; return the artifact names."""
+    """Assert two run directories hold byte-identical artifacts and reports
+    that are byte-identical apart from ``wall_time_s``; return the artifact
+    names."""
     names = sorted(p.name for p in out1.iterdir() if p.name != "report.json")
     assert names == sorted(p.name for p in out2.iterdir() if p.name != "report.json")
     for name in names:
@@ -357,7 +365,8 @@ def _assert_same_outputs(out1, out2):
     reports = [json.loads((out / "report.json").read_text()) for out in (out1, out2)]
     for report in reports:
         del report["wall_time_s"]
-    assert reports[0] == reports[1]
+    # json.dumps tells 2 from 2.0, where == does not
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
     return names
 
 
@@ -428,6 +437,16 @@ def test_refusal_below_the_limit_fails_the_run(tmp_path, monkeypatch):
         assert got["passed"] is False, kind
         check = [c for c in got["checks"] if c["name"] == "refusal_consistent_with_limit"]
         assert len(check) == 1 and check[0]["passed"] is False, kind
+
+
+def test_failed_check_is_printed_and_exits_1(tmp_path, capsys, monkeypatch):
+    # the same over-strict guard, through the command line
+    over_strict = property(lambda report: report.wt < 0.5)
+    monkeypatch.setattr(recovery.InvertibilityReport, "wt_ok", over_strict)
+    assert _run_cfg(tmp_path, MINIMAL["recovery"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] refusal_consistent_with_limit: value={" in out
+    assert "CHECKS FAILED; report in" in out
 
 
 def test_direct_solve_runs_with_more_than_4096_in_band_bins(tmp_path):
@@ -572,6 +591,26 @@ def test_integral_float_runs_as_its_integer(tmp_path, kind, path):
     for literal in (value, float(value)):
         written = _write_cfg(tmp_path, _mutated(cfg, path, literal), f"{literal!r}.json")
         outs.append(tmp_path / repr(literal))
+        assert main(["run", str(written), "--out", str(outs[-1])]) == 0
+    _assert_same_outputs(*outs)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"experiment": "recovery", "W": 2, "T_DS": 1},
+        {"experiment": "quantum_pipeline", "P": 1, "X": 1},
+    ],
+    ids=["recovery", "quantum_pipeline"],
+)
+def test_integral_number_runs_as_its_float(tmp_path, cfg):
+    # JSON Schema counts 2 and 2.0 as one number, so the runner must get the
+    # float 2.0: the int 2 used to reach the report as "WT": 2 (or "XP": 1)
+    # in the metrics and the refusal check, where 2.0 wrote "WT": 2.0
+    outs = []
+    for spelling in (cfg, {k: float(v) if isinstance(v, int) else v for k, v in cfg.items()}):
+        outs.append(tmp_path / str(len(outs)))
+        written = _write_cfg(tmp_path, spelling, f"{len(outs)}.json")
         assert main(["run", str(written), "--out", str(outs[-1])]) == 0
     _assert_same_outputs(*outs)
 

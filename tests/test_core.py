@@ -27,6 +27,17 @@ from subgap import (
 )
 
 
+def test_demo_signal_needs_its_tail_on_the_grid():
+    # on [-4, 4) the truncated tail of sinc^2 exceeds 1e-6 of the peak
+    with pytest.raises(ValueError, match=r"span at least \[-16, 16\]"):
+        make_demo_signal(TimeGrid(-4.0, 0.125, 64))
+
+
+def test_norms_take_signals_and_spectra_only():
+    with pytest.raises(TypeError, match="expected SampledSignal or Spectrum, got ndarray"):
+        l2_norm(np.ones(4))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(0.0, -0.1, 64)

@@ -157,6 +157,12 @@ def test_write_json_is_sorted_and_deterministic(tmp_path):
     assert loaded["alpha"]["a"] == [0, 1, 2]
 
 
+def test_write_json_writes_numpy_scalars_as_python_numbers(tmp_path):
+    write_json(tmp_path / "s.json", {"k": np.int64(3), "x": np.float64(0.5)})
+    text = (tmp_path / "s.json").read_text()
+    assert json.loads(text) == {"k": 3, "x": 0.5} and '"k": 3,' in text
+
+
 def test_write_json_survives_non_finite(tmp_path):
     write_json(tmp_path / "n.json", {"v": float("inf"), "w": float("nan")})
     loaded = json.loads((tmp_path / "n.json").read_text())

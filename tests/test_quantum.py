@@ -411,6 +411,27 @@ def test_recover_state_matches_the_conjugate_direct_solve(
     assert diff <= tol / (1.0 - np.sqrt(report.lambda0))
 
 
+def test_populations_need_an_odd_cycle_of_resolved_pairs():
+    # |rho_jk| = sqrt(rho_jj rho_kk) fixes the populations only when the
+    # resolved pairs join every bin through an odd cycle: one pair cannot
+    # order two populations, and an even cycle leaves one scale free, so
+    # both fall back to uniform populations marked unresolved, as does a
+    # fitted trace of 0 or less, which leaves nothing to scale them to
+    p = np.array([0.4, 0.3, 0.2, 0.1])
+    off = np.sqrt(np.outer(p, p)) * (1.0 - np.eye(4))
+    every = [(j, k) for j in range(4) for k in range(j + 1, 4)]
+    diag, resolved = quantum._complete_populations(off, 1.0, 4, every)
+    assert resolved
+    np.testing.assert_allclose(diag, p, rtol=1e-12)
+    diag, resolved = quantum._complete_populations(off, -0.5, 4, every)
+    assert not resolved
+    np.testing.assert_array_equal(diag, np.full(4, 0.25))
+    for m, pairs in ((2, [(0, 1)]), (4, [(0, 1), (1, 2), (2, 3), (0, 3)])):
+        diag, resolved = quantum._complete_populations(off[:m, :m], 0.8, m, pairs)
+        assert not resolved
+        np.testing.assert_array_equal(diag, np.full(m, 0.8 / m))
+
+
 def test_build_density_rank1_unit_trace(qgrid):
     psi = _state(qgrid)
     rho = build_density(psi, P_BAND)
@@ -423,6 +444,13 @@ def test_build_density_rank1_unit_trace(qgrid):
         build_density(
             WaveFunction(qgrid, np.exp(-np.pi * qgrid.times**2)), P_BAND
         )
+
+
+def test_build_density_rejects_a_zero_state(qgrid):
+    # a zero state passes the bandlimit check and has no coefficient to
+    # normalize
+    with pytest.raises(ValueError, match="no energy inside the momentum band"):
+        build_density(WaveFunction(qgrid, np.zeros(qgrid.n, dtype=complex)), P_BAND)
 
 
 def test_evolution_at_time_zero_is_position_density(qgrid):

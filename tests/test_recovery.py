@@ -181,6 +181,7 @@ def test_lambda0_margin_refuses_below_wt_one():
 @pytest.mark.parametrize(
     "tol,k_max",
     [(0.0, None), (-1e-10, None), (np.nan, None), (np.inf, None), (-np.inf, None)]
+    + [(1.0, None), (1e8, None), (1.0, 5)]
     + [(np.nan, 5), (np.inf, 5), (-1e-10, 5)]
     + [(1e-10, -3), (1e-10, True), (1e-10, 2.5)],
 )
@@ -188,20 +189,65 @@ def test_series_solvers_reject_a_bad_tol(grid, band, s_w, tol, k_max):
     # without a k_max these died in the default step count with a math
     # domain error, a NaN conversion or an OverflowError; with one, a NaN
     # tol silently ran all k_max steps.  tol = 0 is allowed with a k_max.
-    # A k_max of -3 returned r unrecovered, True ran one step and 2.5
-    # raised TypeError; None and 5 are the valid ones
+    # A tol of 1 or more made the default step count negative (-3 at 1e8),
+    # so r came back unrecovered.  A k_max of -3 returned r unrecovered,
+    # True ran one step and 2.5 raised TypeError; None and 5 are the valid
+    # ones.  Past the limit (WT = 2) the arguments are checked before the
+    # refusal, where recover_state used to refuse first
     message = "tol must be finite" if k_max in (None, 5) else "k_max must be an integer"
-    r = _erased(s_w, band)
     psi = WaveFunction(grid, np.conj(s_w.values))
-    windows = PhaseSpaceWindows(x_window=WINDOW, p_band=band)
+    for window in (WINDOW, Interval(0.0, 1.0)):
+        r = _erased(s_w, band, window)
+        windows = PhaseSpaceWindows(x_window=window, p_band=band)
+        calls = [
+            lambda: recover_neumann(r, band, window, tol, k_max),
+            lambda: recover_band_neumann(r, band, window, tol, k_max),
+            lambda: recover_state(psi, windows, tol, k_max),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solvers_reject_a_non_finite_erased_signal(grid, band, s_w, bad):
+    # erase rejects a non-finite source, but the solvers took any r: one
+    # NaN ran the series through all its steps to a NaN signal, and the
+    # direct solve returned NaN everywhere.  Past the limit the refusal
+    # still reads nothing of r
+    vals = _erased(s_w, band).values.copy()
+    vals[grid.n // 3] = bad
+    r = SampledSignal(grid, vals)
+    psi = WaveFunction(grid, np.conj(vals))
     calls = [
-        lambda: recover_neumann(r, band, WINDOW, tol, k_max),
-        lambda: recover_band_neumann(r, band, WINDOW, tol, k_max),
-        lambda: recover_state(psi, windows, tol, k_max),
+        lambda window: recover_neumann(r, band, window),
+        lambda window: recover_band_neumann(r, band, window),
+        lambda window: recover_direct(r, band, window),
+        lambda window: recover_state(psi, PhaseSpaceWindows(x_window=window, p_band=band)),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match=message):
-            call()
+        with pytest.raises(ValueError, match="r must be finite"):
+            call(WINDOW)
+    past = Interval(0.0, 1.0)
+    assert recover_neumann(r, band, past).refused
+    assert recover_band_neumann(r, band, past).refused
+    for call in calls[2:]:
+        with pytest.raises(RefusalError):
+            call(past)
+
+
+def test_series_halts_at_the_attainable_floor(grid, band, random_bandlimited):
+    # tol = 1e-300 lies below any update that rounding lets the series
+    # reach: both solvers stop once the update norm grows, at the truth
+    s = random_bandlimited(band, seed=5)
+    r = _erased(s, band)
+    for solver in (recover_neumann, recover_band_neumann):
+        rec = solver(r, band, WINDOW, tol=1e-300)
+        assert not rec.converged and not rec.refused
+        assert rec.reason == "update norm stopped decreasing; halted at the attainable floor"
+        err = l2_norm(SampledSignal(grid, rec.recovered.values - s.values))
+        assert err / l2_norm(s) <= 1e-14, (solver.__name__, rec.iterations)
 
 
 @pytest.mark.parametrize("n,invertible", [(200, True), (216, False)])

@@ -264,6 +264,12 @@ def test_comb_offsets_must_be_integers(grid):
     np.testing.assert_array_equal(c.instants, [0.0, T_SN, -2.0 * T_SN])
 
 
+def test_comb_offsets_and_values_must_pair_up(grid):
+    for offsets, values in (([0, 1, 2], [1.0, 2.0]), ([[0, 1]], [[1.0, 2.0]])):
+        with pytest.raises(ValueError, match="1-d and equally long"):
+            CombSamples(grid, T_SN, offsets, values)
+
+
 @st.composite
 def _copy_cases(draw):
     """A grid with t = 0 on it, t_sn = m dt with m | n, a band of at most

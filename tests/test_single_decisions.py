@@ -419,3 +419,36 @@ def test_the_writers_depend_on_core_alone():
         for alias in node.names
     ]
     assert [m for m in modules if m.startswith((".", "subgap"))] == [".core"]
+
+
+#: the JSON Schema keywords the config walker reads
+SCHEMA_KEYWORDS = {
+    "type", "const", "properties", "required", "additionalProperties", "minimum",
+    "exclusiveMinimum", "multipleOf", "items", "minItems", "maxItems", "uniqueItems",
+}
+
+
+def test_schemas_are_read_by_the_cli_alone():
+    # experiments declares its schemas and cli types every value by them;
+    # the report's echo once read "type" again and typed numbers its own way
+    sites = set()
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                key = None
+                if isinstance(node, ast.Subscript):  # schema["type"]
+                    key = node.slice
+                elif (  # schema.get("type")
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get"
+                    and node.args
+                ):
+                    key = node.args[0]
+                elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In):
+                    key = node.left  # "type" in schema
+                if isinstance(key, ast.Constant) and key.value in SCHEMA_KEYWORDS:
+                    sites.add((path.stem, fn.name))
+    assert sites == {("cli", "_walk")}
